@@ -9,16 +9,19 @@ declaratively-specified runs in parallel, cached, with failures contained":
 * :class:`ArtifactStore` / :class:`ResultCache` (:mod:`~repro.fleet.cache`)
   -- the content-addressed artifact-store protocol and its local on-disk
   backend, with atomic writes and hit/miss accounting;
-* :class:`FleetScheduler` (:mod:`~repro.fleet.scheduler`) -- priority-queued
-  multiprocessing pool with per-job timeouts, bounded retry with backoff,
-  and failure containment;
+* :class:`FleetScheduler` (:mod:`~repro.fleet.scheduler`) -- the fork pool
+  with per-job timeouts and failure containment, driving the
+  :class:`JobGraph` (priority/LPT ready order, ``after=`` dependencies,
+  bounded retry with backoff) that the remote coordinator drives too;
 * :class:`EventLog` (:mod:`~repro.fleet.events`) -- JSONL lifecycle log;
 * :mod:`~repro.fleet.render` -- content-addressed incremental report
   rendering: each bench entry point is a ``mode="render"`` spec whose
   digest (its *render key*) covers the bench source, ``common.py``, and
   the artifacts it consumes, so unchanged reports are cache hits;
 * :mod:`~repro.fleet.sweeps` / ``python -m repro fleet`` -- whole-paper
-  regeneration sweeps and the ``sweep`` / ``status`` / ``clean`` CLI;
+  regeneration sweeps (collect, then one pool in which each render starts
+  as soon as the artifacts it consumes are terminal) and the ``sweep`` /
+  ``status`` / ``clean`` CLI;
 * :mod:`~repro.fleet.remote` -- the distributed experiment service: the
   artifact store served over HTTP (``fleet store``), the job-lease
   coordinator (``fleet serve``), stateless cross-machine workers
@@ -62,10 +65,9 @@ from .render import (
     iter_bench_tests,
     restore_reports,
 )
-from .scheduler import FleetScheduler, JobOutcome
+from .scheduler import FleetScheduler, JobGraph, JobOutcome
 from .spec import RunSpec, canonical_json, code_version
 from .sweeps import (
-    collect_bench_specs,
     render_benchmarks,
     run_sweep,
     sanitize_specs,
@@ -80,6 +82,7 @@ __all__ = [
     "content_sha256",
     "CacheStats",
     "FleetScheduler",
+    "JobGraph",
     "JobOutcome",
     "EventLog",
     "read_events",
@@ -105,7 +108,6 @@ __all__ = [
     "collect_render_plan",
     "execute_render",
     "restore_reports",
-    "collect_bench_specs",
     "sanitize_specs",
     "sweep_specs",
     "run_sweep",

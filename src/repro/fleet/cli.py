@@ -93,10 +93,6 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                        help="seed for the deterministic chaos kill schedule")
     sweep.add_argument("--no-render", action="store_true",
                        help="warm the cache only; skip report regeneration")
-    sweep.add_argument("--no-pipeline", action="store_true",
-                       help="barrier-phased sweep (warm pool drains, then a "
-                       "render pool) instead of the dependency-pipelined "
-                       "single pool -- the byte-identity oracle")
     sweep.add_argument("--workers", default=None, metavar="HOST:PORT,...",
                        help="run the sweep over remote workers attached to "
                        "these coordinators (repro fleet serve) instead of "
@@ -128,7 +124,7 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
         help="execute one spec through the cache -- locally, or on remote "
         "workers where --interactive leases ahead of any running sweep",
     )
-    run.add_argument("program", help="program name (e.g. ring, small_messages)")
+    run.add_argument("program", help="program name (e.g. oned, small_messages)")
     run.add_argument("--mode", choices=("tool", "sanitize", "chaos"),
                      default="tool")
     run.add_argument("--impl", default="lam")
@@ -137,7 +133,7 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
     run.add_argument("--quick", action="store_true",
                      help="scaled-down program parameters")
     run.add_argument("--interactive", action="store_true",
-                     help="submit on the interactive lane: remote workers "
+                     help="submit at interactive priority: remote workers "
                      "lease it before any queued sweep job")
     run.add_argument("--workers", default=None, metavar="HOST:PORT,...",
                      help="run on these coordinators instead of in-process")
@@ -231,7 +227,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         live=args.live,
         live_port=args.live_port,
         live_token=args.token,
-        pipeline=not args.no_pipeline,
     )
     counts = summary["counts"]
     cache_stats = summary["cache"]
@@ -335,7 +330,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.program, mode=args.mode, impl=args.impl,
         nprocs=args.nprocs, seed=args.seed, quick=args.quick,
     )
-    lane = "interactive" if args.interactive else "sweep"
     workers = [w for w in (args.workers or "").split(",") if w] or None
     started = _time.monotonic()
     if workers:
@@ -347,7 +341,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         pool = RemotePool(
             workers, store=store, timeout=args.timeout, retries=args.retries,
         )
-        pool.submit(spec, priority=0, lane=lane)
+        # priority -1 leases ahead of both sweep classes (0 and 1)
+        pool.submit(spec, priority=-1 if args.interactive else 0)
         results = pool.run()
         artifact = results.get(spec.digest) or {}
         outcome = pool.outcomes[spec.digest]
@@ -365,7 +360,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
         status = artifact.get("status", "missing")
     wall = _time.monotonic() - started
-    print(f"# fleet run {spec.label} [{lane}]"
+    print(f"# fleet run {spec.label} "
+          f"[{'interactive' if args.interactive else 'sweep'}]"
           + (f" on {len(workers)} coordinator(s)" if workers else "")
           + f": {status}" + (" (cache hit)" if cached else "")
           + f" in {wall:.2f}s")

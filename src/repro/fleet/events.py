@@ -17,9 +17,6 @@ from typing import Any, Callable, Iterator, Optional, Union
 
 __all__ = ["EventLog", "read_events"]
 
-#: lifecycle event names, in the order a job can emit them
-LIFECYCLE = ("queued", "started", "cached-hit", "completed", "retry", "failed")
-
 
 class EventLog:
     """Append-only event recorder; optionally mirrored to a JSONL file."""
@@ -63,11 +60,6 @@ class EventLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def render_summary(self) -> str:
-        counts = self.counts()
-        parts = [f"{name}={counts[name]}" for name in LIFECYCLE if name in counts]
-        return "events: " + (" ".join(parts) if parts else "none")
 
 
 def read_events(path: Union[str, Path]) -> Iterator[dict]:

@@ -22,6 +22,12 @@ Lease state machine (per job)::
        |                 \\---expiry (no heartbeat)----------> pending  [stolen]
        +--- backoff ------+        ... unless steals > bound -> failed [lost]
 
+Which pending job a lease gets, when a retry becomes leasable, and when a
+job submitted with ``after`` producers is released are all decided by the
+same :class:`~repro.fleet.scheduler.JobGraph` the local fork pool drives;
+``repro fleet run --interactive`` submits at priority -1, ahead of both
+sweep classes.
+
 A worker that misses its heartbeats (crashed, SIGKILLed, partitioned) is
 presumed dead: the lease expires and the job is re-queued for any other
 worker to steal -- exactly the daemon-failure containment a per-node
@@ -39,15 +45,16 @@ drill can never strand the queue.
 
 from __future__ import annotations
 
-import itertools
 import random
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..execute import failure_artifact  # noqa: F401  (re-exported for workers)
+from ..scheduler import DONE, PENDING, RUNNING, JobGraph
 from ..spec import RunSpec, code_version
 from .wire import BackgroundServer, JsonRequestHandler
 
@@ -55,26 +62,15 @@ __all__ = ["FleetCoordinator", "DEFAULT_LEASE_TIMEOUT"]
 
 DEFAULT_LEASE_TIMEOUT = 15.0
 
-#: job states
-PENDING, LEASED, DONE = "pending", "leased", "done"
-
-
-#: lease lanes, in lease order -- interactive jobs (``repro fleet run
-#: --interactive``) jump every queued sweep job regardless of priority
-LANES = ("interactive", "sweep")
-
 
 @dataclass
 class _Job:
     digest: str
     spec: dict
     label: str
-    priority: int = 0
-    lane: str = "sweep"
-    state: str = PENDING
-    attempts: int = 0
+    #: this job's node in the coordinator's JobGraph (state, attempts)
+    node: Any
     steals: int = 0
-    ready_at: float = 0.0
     wall: float = 0.0
     status: Optional[str] = None  # completed | failed (terminal)
     artifact: Optional[dict] = None
@@ -128,9 +124,8 @@ class FleetCoordinator(BackgroundServer):
     ) -> None:
         super().__init__(host, port, token=token)
         self.lease_timeout = lease_timeout
-        self.retries = max(0, retries)
-        self.backoff = backoff
-        self.max_steals = max_steals if max_steals is not None else self.retries + 2
+        self._graph = JobGraph(retries=retries, backoff=backoff)
+        self.max_steals = self._graph.retries + 2 if max_steals is None else max_steals
         self.store_url = store_url
         self.job_timeout = job_timeout
         self.verify_code_version = verify_code_version
@@ -140,8 +135,6 @@ class FleetCoordinator(BackgroundServer):
         self._leases: dict[str, _Lease] = {}
         self._workers: dict[str, _Worker] = {}
         self._events: list[dict] = []
-        self._seq = itertools.count(1)
-        self._lease_seq = 0
         self._draining = False
         self.steals = 0
         self.retried = 0
@@ -168,8 +161,8 @@ class FleetCoordinator(BackgroundServer):
         """``POST /jobs``: accept a batch of specs; idempotent per digest."""
         with self._lock:
             if payload.get("retries") is not None:
-                self.retries = max(0, int(payload["retries"]))
-                self.max_steals = max(self.max_steals, self.retries + 2)
+                self._graph.retries = max(0, int(payload["retries"]))
+                self.max_steals = max(self.max_steals, self._graph.retries + 2)
             if payload.get("timeout") is not None:
                 self.job_timeout = float(payload["timeout"])
             if payload.get("chaos_kills"):
@@ -183,7 +176,7 @@ class FleetCoordinator(BackgroundServer):
                 digest = row["digest"]
                 existing = self._jobs.get(digest)
                 if existing is not None:
-                    if existing.state == DONE:
+                    if existing.node.state == DONE:
                         # a long-lived coordinator serving successive sweep
                         # phases: hand the terminal record straight back so
                         # the driver need not wait on an event that already
@@ -192,22 +185,20 @@ class FleetCoordinator(BackgroundServer):
                             "digest": digest,
                             "status": existing.status,
                             "artifact": existing.artifact,
-                            "attempt": existing.attempts,
+                            "attempt": existing.node.attempts,
                             "wall": round(existing.wall, 6),
                             "store_hit": existing.cached,
                         })
                     continue
-                lane = str(row.get("lane") or "sweep")
-                job = _Job(
-                    digest=digest,
-                    spec=row["spec"],
-                    label=row.get("label") or digest[:12],
-                    priority=int(row.get("priority", 0)),
-                    lane=lane if lane in LANES else "sweep",
-                )
+                priority = int(row.get("priority", 0))
+                deps = self._graph.add(digest, priority=priority,
+                                       after=row.get("after") or ())
+                job = _Job(digest=digest, spec=row["spec"],
+                           label=row.get("label") or digest[:12],
+                           node=self._graph.nodes[digest])
                 self._jobs[digest] = job
                 self._emit("queued", digest=digest, job=job.label,
-                           priority=job.priority, lane=job.lane)
+                           priority=priority, deps=len(deps))
                 accepted += 1
             return {"accepted": accepted, "total": len(self._jobs), "done": done}
 
@@ -222,19 +213,6 @@ class FleetCoordinator(BackgroundServer):
             1 for w in self._workers.values()
             if w.last_seen >= horizon and w.worker_id not in self._chaos_victims
         )
-
-    def _next_pending(self, now: float) -> Optional[_Job]:
-        """Interactive-lane jobs lease first, whatever the sweep queue's
-        priorities; within a lane, lowest (priority, attempts) wins."""
-        best: Optional[_Job] = None
-        best_key = None
-        for job in self._jobs.values():
-            if job.state != PENDING or job.ready_at > now:
-                continue
-            key = (LANES.index(job.lane), job.priority, job.attempts)
-            if best is None or key < best_key:
-                best, best_key = job, key
-        return best
 
     def lease(self, worker_id: str, worker_version: Optional[str] = None) -> dict:
         """``POST /lease``: hand the next pending job to ``worker_id``."""
@@ -256,15 +234,12 @@ class FleetCoordinator(BackgroundServer):
                 worker = self._workers[worker_id] = _Worker(worker_id, now)
                 self._emit("worker-joined", worker=worker_id)
             worker.last_seen = now
-            job = self._next_pending(now)
-            if job is None:
-                idle_shutdown = self._draining and not any(
-                    j.state != DONE for j in self._jobs.values()
-                )
+            digest = self._graph.pop(now)
+            if digest is None:
+                idle_shutdown = self._draining and not self._graph.unfinished
                 return {"job": None, "shutdown": idle_shutdown}
-            self._lease_seq += 1
-            job.state = LEASED
-            job.attempts += 1
+            job = self._jobs[digest]
+            attempt = self._graph.start(digest)
             lease = _Lease(
                 lease_id=uuid.uuid4().hex,
                 digest=job.digest,
@@ -288,16 +263,16 @@ class FleetCoordinator(BackgroundServer):
                     self.chaos_kills += 1
                     self._chaos_victims.add(worker_id)
                     self._emit("chaos-kill", digest=job.digest, job=job.label,
-                               worker=worker_id, attempt=job.attempts)
+                               worker=worker_id, attempt=attempt)
             self._emit("started", digest=job.digest, job=job.label,
-                       attempt=job.attempts, worker=worker_id)
+                       attempt=attempt, worker=worker_id)
             return {
                 "job": {
                     "lease": lease.lease_id,
                     "digest": job.digest,
                     "spec": job.spec,
                     "label": job.label,
-                    "attempt": job.attempts,
+                    "attempt": attempt,
                 },
                 "timeout": self.job_timeout,
                 "heartbeat": max(0.05, self.lease_timeout / 3.0),
@@ -344,19 +319,16 @@ class FleetCoordinator(BackgroundServer):
                 # tailer that sees the terminal can then rely on the mirror
                 # tail already being in the feed (and on the driver's disk)
                 self._emit("trace", digest=job.digest, job=job.label,
-                           attempt=job.attempts, worker=lease.worker,
+                           attempt=job.node.attempts, worker=lease.worker,
                            events=list(trace))
             if artifact.get("status") == "ok":
                 self._finish(job, "completed", artifact, cached=store_hit,
                              worker=lease.worker)
-            elif job.attempts <= self.retries:
-                delay = self.backoff * (2 ** (job.attempts - 1))
-                job.state = PENDING
-                job.ready_at = now + delay
+            elif (delay := self._graph.retry(job.digest, now)) is not None:
                 self.retried += 1
                 error = (artifact.get("error") or {}).get("type", "error")
                 self._emit("retry", digest=job.digest, job=job.label,
-                           attempt=job.attempts, error=error,
+                           attempt=job.node.attempts, error=error,
                            backoff=round(delay, 3), worker=lease.worker)
             else:
                 self._finish(job, "failed", artifact, worker=lease.worker)
@@ -364,12 +336,11 @@ class FleetCoordinator(BackgroundServer):
 
     def _finish(self, job: _Job, status: str, artifact: dict, *,
                 cached: bool = False, worker: Optional[str] = None) -> None:
-        job.state = DONE
         job.status = status
         job.artifact = artifact
         job.cached = cached
         fields = {"digest": job.digest, "job": job.label,
-                  "attempt": job.attempts, "wall": round(job.wall, 6),
+                  "attempt": job.node.attempts, "wall": round(job.wall, 6),
                   "artifact": artifact}
         if worker is not None:
             fields["worker"] = worker
@@ -378,6 +349,10 @@ class FleetCoordinator(BackgroundServer):
         if cached:
             fields["store_hit"] = True
         self._emit(status, **fields)
+        for digest in self._graph.done(job.digest):
+            consumer = self._jobs[digest]
+            self._emit("admitted", digest=digest, job=consumer.label,
+                       deps=len(consumer.node.after))
 
     # -- expiry / stealing ---------------------------------------------------
 
@@ -391,27 +366,25 @@ class FleetCoordinator(BackgroundServer):
             if worker is not None:
                 worker.lost += 1
             self.worker_losses += 1
-            if job is None or job.state != LEASED:  # pragma: no cover - defensive
+            if job is None or job.node.state != RUNNING:  # pragma: no cover - defensive
                 continue
             job.steals += 1
+            attempt = job.node.attempts
+            self._emit("lease-expired", digest=job.digest, job=job.label,
+                       worker=lease.worker, attempt=attempt)
             if job.steals > self.max_steals:
                 artifact = failure_artifact(
                     RunSpec.from_dict(job.spec), "worker-lost",
                     f"lease expired {job.steals} time(s); "
                     f"worker {lease.worker} presumed dead",
-                    attempts=job.attempts,
+                    attempts=attempt,
                 )
-                self._emit("lease-expired", digest=job.digest, job=job.label,
-                           worker=lease.worker, attempt=job.attempts)
                 self._finish(job, "failed", artifact, worker=lease.worker)
                 continue
             self.steals += 1
-            job.state = PENDING
-            job.ready_at = now  # stolen work re-queues immediately
-            self._emit("lease-expired", digest=job.digest, job=job.label,
-                       worker=lease.worker, attempt=job.attempts)
+            self._graph.requeue(job.digest)
             self._emit("stolen", digest=job.digest, job=job.label,
-                       worker=lease.worker, attempt=job.attempts)
+                       worker=lease.worker, attempt=attempt)
 
     # -- introspection (the driver / operators) ------------------------------
 
@@ -420,9 +393,7 @@ class FleetCoordinator(BackgroundServer):
         with self._lock:
             self._expire_leases(now)
             events = self._events[cursor:]
-            done = bool(self._jobs) and all(
-                j.state == DONE for j in self._jobs.values()
-            )
+            done = bool(self._jobs) and not self._graph.unfinished
             return {"events": events, "cursor": cursor + len(events),
                     "done": done}
 
@@ -430,16 +401,14 @@ class FleetCoordinator(BackgroundServer):
         now = self._clock()
         with self._lock:
             self._expire_leases(now)
-            states = {PENDING: 0, LEASED: 0, DONE: 0}
-            for job in self._jobs.values():
-                states[job.state] += 1
+            states = Counter(job.node.state for job in self._jobs.values())
             return {
                 "status": "ok",
                 "service": "repro-fleet-coordinator",
                 "workers": self._alive_workers(now),
                 "workers_seen": len(self._workers),
                 "pending": states[PENDING],
-                "leased": states[LEASED],
+                "leased": states[RUNNING],
                 "done": states[DONE],
             }
 
@@ -474,9 +443,10 @@ class FleetCoordinator(BackgroundServer):
                 return {"ok": True, "draining": True}
             if action == "reset":
                 # a long-lived coordinator serving successive sweeps: drop
-                # terminal jobs and counters, keep registered workers
+                # terminal jobs, keep registered workers
+                self._graph.prune()
                 self._jobs = {d: j for d, j in self._jobs.items()
-                              if j.state != DONE}
+                              if d in self._graph.nodes}
                 self._draining = False
                 return {"ok": True, "jobs": len(self._jobs)}
             return {"ok": False, "error": f"unknown action {action!r}"}

@@ -3,9 +3,8 @@
 :class:`RemotePool` is interface-compatible with
 :class:`~repro.fleet.scheduler.FleetScheduler` (``submit`` / ``run`` /
 ``results`` / ``outcomes`` / ``summary``), so ``run_sweep`` swaps one for
-the other when ``--workers`` names coordinator endpoints and every phase
-of the three-phase sweep -- warm, render, observe analysis -- works
-unchanged over remote workers.
+the other when ``--workers`` names coordinator endpoints: the same single
+dependency-pipelined pool, the same observe analysis, over remote workers.
 
 The driver:
 
@@ -15,13 +14,17 @@ The driver:
 2. shards the remaining jobs across the coordinator endpoints by a
    deterministic locality score (consumers follow their producers, job
    families stick to one coordinator, load stays bounded; one
-   coordinator is the common case);
+   coordinator is the common case), each job row carrying its ``after``
+   producers so the coordinator's :class:`~repro.fleet.scheduler.JobGraph`
+   holds a render until the artifacts it consumes are terminal;
 3. polls each coordinator's event feed, re-emitting lifecycle records
    into the sweep's :class:`EventLog` with the *coordinator's* timestamps
    preserved -- so ``observe`` swimlanes and critical-path analysis see
    the same ``queued/started/retry/stolen/completed`` stream a local
    sweep produces;
-4. collects terminal artifacts from the feed into ``results``.
+4. collects terminal artifacts from the feed into ``results``, returning
+   once every job *this* pool submitted is resolved -- jobs other sweeps
+   submitted to a shared coordinator are not its business.
 
 Failure containment mirrors the fork pool: a worker that vanishes
 mid-job trips lease expiry on the coordinator (steal + retry, bounded),
@@ -39,7 +42,7 @@ from typing import Optional, Sequence, Union
 from ..cache import ArtifactStore, StoreIntegrityError
 from ..events import EventLog
 from ..execute import failure_artifact, from_bytes, to_bytes
-from ..scheduler import JobOutcome
+from ..scheduler import JobOutcome, summarize_outcomes
 from ..spec import RunSpec
 from .wire import Endpoint, WireError, parse_endpoint, request_json
 
@@ -51,7 +54,7 @@ _STRIP_FIELDS = ("artifact",)
 
 
 class RemotePool:
-    """Drive one sweep phase over coordinator-attached remote workers.
+    """Drive a sweep's jobs over coordinator-attached remote workers.
 
     Parameters
     ----------
@@ -61,9 +64,8 @@ class RemotePool:
     timeout / retries: forwarded to the coordinators with the job batch.
     chaos_kills: arm N deterministic worker kills on the first
         coordinator (the ``--chaos`` drill, remote edition).
-    drain: after the phase completes, tell coordinators to send idle
-        workers home -- set on the *last* pool of a sweep only, so the
-        warm phase leaves workers alive for the render phase.
+    drain: after the run completes, tell coordinators to send idle
+        workers home once their queues are empty.
     worker_grace: seconds to tolerate zero live workers with jobs
         pending before failing the remainder locally.
     trace_dir: when set, ask workers (via the coordinators) to relay
@@ -105,7 +107,7 @@ class RemotePool:
         # (refined from coordinator health once the sweep is running)
         self.requested_jobs = len(self.endpoints)
         self.jobs = len(self.endpoints)
-        self._submitted: dict[str, tuple[RunSpec, int, str, tuple]] = {}
+        self._submitted: dict[str, tuple[RunSpec, int, tuple]] = {}
         self.results: dict[str, dict] = {}
         self.outcomes: dict[str, JobOutcome] = {}
 
@@ -116,22 +118,19 @@ class RemotePool:
         spec: RunSpec,
         *,
         priority: int = 0,
-        lane: str = "sweep",
         after: tuple = (),
     ) -> str:
-        """Queue one spec.  ``lane`` is the coordinator's lease lane
-        (``interactive`` jumps the sweep queue); ``after`` lists consumed
-        artifact digests -- admission stays the coordinator's problem, but
-        the digests feed the locality score so consumers shard to the
-        coordinator their producers went to."""
+        """Queue one spec (lower ``priority`` leases first; ``repro fleet
+        run --interactive`` uses -1 to jump any queued sweep).  ``after``
+        lists consumed artifact digests: the coordinator holds the job
+        until those it was also sent are terminal, and they feed the
+        locality score so consumers shard to their producers'
+        coordinator."""
         digest = spec.digest
         if digest in self._submitted:
             return digest
-        self._submitted[digest] = (spec, priority, lane, tuple(after))
-        self.outcomes[digest] = JobOutcome(
-            digest=digest, job=spec.label, program=spec.program,
-            impl=spec.impl, mode=spec.mode,
-        )
+        self._submitted[digest] = (spec, priority, tuple(after))
+        self.outcomes[digest] = JobOutcome.of(spec)
         return digest
 
     # -- coordinator round trips ---------------------------------------------
@@ -181,7 +180,7 @@ class RemotePool:
     def _store_precheck(self) -> list[str]:
         """Resolve store hits driver-side; returns the digests still to run."""
         pending: list[str] = []
-        for digest, (spec, _priority, _lane, _after) in self._submitted.items():
+        for digest, (spec, _priority, _after) in self._submitted.items():
             data = None
             if self.store is not None:
                 try:
@@ -219,7 +218,7 @@ class RemotePool:
         family_home: dict[str, int] = {}
         digest_home: dict[str, int] = {}
         for digest in pending:
-            spec, _priority, _lane, after = self._submitted[digest]
+            spec, _priority, after = self._submitted[digest]
             family = f"{spec.mode}:{spec.program}"
             ranked = []
             for i in range(n):
@@ -243,23 +242,24 @@ class RemotePool:
         each coordinator's event-feed cursor snapshotted *before* submission
         (a long-lived coordinator has older sweeps' events in its feed)."""
         assigned = self._assign_endpoints(pending)
+        remote = set(pending)
         batches: dict[int, list[dict]] = {}
         for i, digests in assigned.items():
             batches[i] = []
             for digest in digests:
-                spec, priority, lane, _after = self._submitted[digest]
+                spec, priority, after = self._submitted[digest]
                 batches[i].append({
                     "digest": digest,
                     "spec": spec.to_dict(),
                     "label": spec.label,
                     "priority": priority,
-                    "lane": lane,
+                    # store hits resolved above are already terminal
+                    "after": [d for d in after if d in remote],
                 })
         cursors: dict[str, int] = {}
         for i, endpoint in enumerate(self.endpoints):
             feed = self._get(endpoint, "/events?cursor=0")
             cursors[endpoint.address] = feed.get("cursor", 0)
-            self._consume_stale(feed.get("events", ()))
             payload = {
                 "jobs": batches[i],
                 "retries": self.retries,
@@ -271,28 +271,15 @@ class RemotePool:
                 payload["chaos_seed"] = self.chaos_seed
             response = self._post(endpoint, "/jobs", payload)
             # digests already terminal on a long-lived coordinator (an
-            # earlier phase ran them) come straight back as results
+            # earlier sweep ran them) come straight back as results
             for row in response.get("done", ()):
                 self._terminal(row)
         return cursors
-
-    def _consume_stale(self, events) -> None:
-        """Pre-submission feed events: terminal records for digests *we*
-        submitted resolve them (an earlier phase's run); the rest are an
-        older sweep's history -- skip, do not re-log."""
-        for record in events:
-            if (
-                record.get("event") in ("completed", "failed")
-                and record.get("digest") in self._submitted
-                and record.get("digest") not in self.results
-            ):
-                self._terminal(record)
 
     def _poll(self, cursors: dict[str, int]) -> None:
         no_worker_since: Optional[float] = None
         while True:
             progressed = False
-            all_done = True
             alive = 0
             for endpoint in self.endpoints:
                 try:
@@ -312,9 +299,7 @@ class RemotePool:
                 progressed |= bool(events)
                 for record in events:
                     self._ingest(record)
-                if not feed.get("done", False):
-                    all_done = False
-            if all_done and not self._unresolved():
+            if not self._unresolved():
                 return
             now = time.monotonic()
             if alive == 0 and self._unresolved():
@@ -421,14 +406,7 @@ class RemotePool:
     # -- reporting -----------------------------------------------------------
 
     def summary(self) -> dict:
-        rows = list(self.outcomes.values())
-        return {
-            "specs": len(rows),
-            "completed": sum(1 for r in rows if r.status == "completed"),
-            "cached": sum(1 for r in rows if r.status == "cached"),
-            "failed": sum(1 for r in rows if r.status == "failed"),
-            "worker_wall": round(sum(r.wall for r in rows), 6),
-        }
+        return summarize_outcomes(self.outcomes.values())
 
     def remote_summary(self) -> dict:
         """Coordinator-side counters for BENCH_fleet.json's ``remote``

@@ -11,7 +11,7 @@ coordination beyond the lease protocol:
    coordinator refuses it rather than split the cache);
 2. short-circuit through the shared artifact store (another worker, or a
    previous sweep, may have produced this digest already);
-3. otherwise fork a child onto :func:`repro.fleet.scheduler._worker_main`
+3. otherwise fork a child with :func:`repro.fleet.scheduler.start_child`
    -- the *same* entry point the local pool uses, so artifacts are
    byte-identical by construction -- heartbeating the lease while the
    child runs and enforcing the coordinator's per-job timeout;
@@ -39,10 +39,9 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from ...observe.export import read_jsonl  # mode-salt: none
 from ..cache import StoreIntegrityError
 from ..execute import execute_spec, failure_artifact, from_bytes, to_bytes
-from ..scheduler import _mp_context, _worker_main
+from ..scheduler import collect_child, mirror_tail, start_child, stop_child
 from ..spec import RunSpec, code_version
 from .store import HTTPStore
 from .wire import Endpoint, WireError, parse_endpoint, request_json
@@ -57,22 +56,6 @@ TRACE_TAIL_LIMIT = 2048
 
 def _default_log(message: str) -> None:  # pragma: no cover - CLI plumbing
     print(message, file=sys.stderr, flush=True)
-
-
-def _mirror_tail(trace_path: Optional[Path],
-                 limit: int = TRACE_TAIL_LIMIT) -> list:
-    """The last ``limit`` events of a child's flight-recorder mirror.
-
-    The mirror is flushed per event, so even a timed-out or crashed child
-    leaves a readable prefix; torn trailing lines are skipped by
-    :func:`read_jsonl`."""
-    if trace_path is None:
-        return []
-    try:
-        events = list(read_jsonl(trace_path))
-    except OSError:
-        return []
-    return events[-limit:]
 
 
 class FleetWorker:
@@ -254,53 +237,31 @@ class FleetWorker:
         with tempfile.TemporaryDirectory(prefix="repro-worker-") as spool:
             out_path = Path(spool) / f"{spec.digest}.json"
             trace_path = (
-                Path(spool) / f"trace-{spec.digest[:12]}.{attempt}.jsonl"
+                f"{spool}/trace-{spec.digest[:12]}.{attempt}.jsonl"
                 if trace else None
             )
-            proc = _mp_context().Process(
-                target=_worker_main,
-                args=(self.executor, job["spec"], str(out_path),
-                      str(trace_path) if trace_path else None, attempt),
-                daemon=True,
-            )
-            proc.start()
+            proc = start_child(self.executor, spec, out_path, trace_path,
+                               attempt)
             while proc.is_alive():
                 proc.join(hb_interval)
                 if not proc.is_alive():
                     break
                 now = time.monotonic()
                 if deadline is not None and now > deadline:
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():  # pragma: no cover - stubborn child
-                        proc.kill()
-                        proc.join(1.0)
+                    stop_child(proc)
                     return (
                         failure_artifact(
                             spec, "timeout",
                             f"exceeded {timeout}s wall-clock limit",
                             attempts=attempt,
                         ),
-                        now - started, False, _mirror_tail(trace_path),
+                        now - started, False, mirror_tail(trace_path, TRACE_TAIL_LIMIT),
                     )
                 if not self._heartbeat(job["lease"]):
                     self.log(f"worker {self.worker_id}: lease stolen for "
                              f"{job['label']}; abandoning")
-                    proc.terminate()
-                    proc.join(1.0)
-                    if proc.is_alive():  # pragma: no cover - stubborn child
-                        proc.kill()
-                        proc.join(1.0)
+                    stop_child(proc)
                     return None
-            proc.join()
+            artifact = collect_child(proc, out_path, spec, attempt)
             wall = time.monotonic() - started
-            try:
-                artifact = from_bytes(out_path.read_bytes())
-            except (FileNotFoundError, ValueError):
-                artifact = failure_artifact(
-                    spec, "crashed",
-                    f"worker child died with exit code {proc.exitcode} "
-                    "before writing a result",
-                    attempts=attempt,
-                )
-            return artifact, wall, False, _mirror_tail(trace_path)
+            return artifact, wall, False, mirror_tail(trace_path, TRACE_TAIL_LIMIT)

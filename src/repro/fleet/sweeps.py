@@ -1,23 +1,27 @@
-"""Sweep definitions and the phased sweep driver.
+"""Sweep definitions and :func:`run_sweep`.
 
-``repro fleet sweep`` regenerates the full paper reproduction in three
-phases, every one of them incremental against the content-addressed cache:
+``repro fleet sweep`` regenerates the full paper reproduction, incremental
+against the content-addressed cache:
 
 1. **collect** -- the bench suite runs in collect mode
    (:func:`~repro.fleet.render.collect_render_plan`): each bench entry
    point records the :class:`RunSpec` runs it would execute and gets a
    ``mode="render"`` spec of its own whose digest is its *render key*
    (bench source + ``common.py`` + consumed-artifact digests + mode salt);
-2. **warm** -- every experiment spec (bench-collected runs, the sanitizer
-   sweep over the clean programs, the seeded-defect library) plus the
-   render specs of *opaque* bench bodies executes through the
-   :class:`FleetScheduler`: parallel across cores, cached, failures
-   contained;
-3. **render** -- the per-bench render specs go through a second scheduler
-   pool: an unchanged render key is a cache hit (the bench is skipped and
-   its reports restored byte-identically), stale benches re-render in
-   parallel, and the parent writes every captured report to
-   ``benchmarks/reports/`` as the single writer.
+2. **one pool** -- every experiment spec (bench-collected runs, the
+   sanitizer sweep over the clean programs, the seeded-defect library) and
+   every render spec go through a single pool -- the local
+   :class:`FleetScheduler`, or the :class:`~repro.fleet.remote.RemotePool`
+   with ``--workers`` -- parallel, cached, failures contained.  A render
+   is submitted ``after`` the artifacts it consumes and starts the moment
+   they are terminal; an opaque bench body has nothing to wait for.  An
+   unchanged render key is a cache hit (the bench is skipped and its
+   reports restored byte-identically), and the parent writes every
+   captured report to ``benchmarks/reports/`` as the single writer.
+
+Collect is the only barrier.  The *warm* and *render* phases reported in
+the summary are windows over the pool's own job events -- a ``render:``
+label is render, anything else warm -- so they overlap by design.
 
 Spec collection reuses the bench suite as the single source of truth: in
 collect mode ``benchmarks/common.py`` raises :class:`CollectOnly` from its
@@ -38,7 +42,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..observe.critical_path import critical_path  # mode-salt: none
+from ..observe.critical_path import critical_path, phase_of  # mode-salt: none
 from ..observe.export import merge_events, write_chrome, write_jsonl  # mode-salt: none
 from ..observe.recorder import recording  # mode-salt: none
 from .cache import ArtifactStore
@@ -61,7 +65,6 @@ __all__ = [
     "CollectOnly",
     "StubTimer",
     "SWEEP_SUITES",
-    "collect_bench_specs",
     "sanitize_specs",
     "sweep_specs",
     "run_sweep",
@@ -72,13 +75,6 @@ __all__ = [
 SWEEP_SUITES = ("all", "bench", "sanitize")
 DEFAULT_SANITIZE_IMPLS = ("lam", "mpich", "mpich2", "refmpi")
 BENCH_OUT = "BENCH_fleet.json"
-
-
-def collect_bench_specs() -> list[RunSpec]:
-    """Every fleet-routed spec the bench suite would run, without running it.
-    (Collection *failures* are dropped here; :func:`run_sweep` goes through
-    :func:`~repro.fleet.render.collect_render_plan` and reports them.)"""
-    return list(collect_render_plan().specs)
 
 
 def sanitize_specs(
@@ -148,69 +144,21 @@ def render_benchmarks() -> tuple[int, list[tuple[str, str]]]:
     return ran, failures
 
 
-def _make_pool(
-    *,
-    workers: Optional[Sequence[str]],
-    jobs: Optional[int],
-    timeout: Optional[float],
-    retries: int,
-    cache: Optional[ArtifactStore],
-    events: EventLog,
-    trace_dir: Optional[Path],
-    chaos_kills: int = 0,
-    chaos_seed: int = 0,
-    drain: bool = False,
-    profiles: Optional[ProfileStore] = None,
-    order_seed: Optional[int] = None,
-):
-    """One sweep-phase pool: the fork pool by default, the remote pool when
-    ``--workers`` names coordinator endpoints.  Both speak the same
-    submit/run/outcomes/summary surface, so the phases are pool-agnostic.
-    Profiles/order_seed steer only the local pool: remote lease order is
-    the coordinator's call (lanes + locality, see ``remote/``)."""
-    if workers:
-        from .remote.pool import RemotePool  # lazy: local sweeps stay lean
-
-        return RemotePool(
-            workers, store=cache, timeout=timeout, retries=retries,
-            events=events, chaos_kills=chaos_kills, chaos_seed=chaos_seed,
-            drain=drain, trace_dir=trace_dir,
-        )
-    return FleetScheduler(
-        jobs=jobs, timeout=timeout, retries=retries, cache=cache,
-        events=events, trace_dir=trace_dir, profiles=profiles,
-        order_seed=order_seed,
-    )
-
-
-def _restore_renders(
-    plan: RenderPlan,
-    outcomes_by_digest: dict,
-    results: dict,
-    wall: float,
-):
+def _restore_renders(plan: RenderPlan, pool, wall: float) -> dict:
     """Restore every captured report from the render artifacts and build
-    the render summary; returns ``(render_summary, outcomes)``.  Shared by
-    the barrier render phase and the pipelined single-pool sweep -- the
-    parent is the single writer of ``benchmarks/reports/`` either way."""
-    outcomes = [
-        outcomes_by_digest[entry.spec.digest]
-        for entry in plan.benches
-        if entry.spec.digest in outcomes_by_digest
-    ]
-    by_digest = {entry.spec.digest: entry for entry in plan.benches}
-    reports_dir = None
+    the render summary -- the parent is the single writer of
+    ``benchmarks/reports/``."""
+    rows = sorted(((pool.outcomes[e.spec.digest], e) for e in plan.benches),
+                  key=lambda row: (-row[0].wall, row[0].job))
+    outcomes = [outcome for outcome, _ in rows]
     bench = bench_dir()
-    if bench is not None:
-        reports_dir = bench / "reports"
     failures: list[tuple[str, str]] = []
     per_bench: list[dict] = []
-    for outcome in sorted(outcomes, key=lambda o: (-o.wall, o.job)):
-        entry = by_digest[outcome.digest]
-        artifact = results.get(outcome.digest)
+    for outcome, entry in rows:
+        artifact = pool.results.get(outcome.digest)
         if artifact is not None and artifact.get("status") == "ok":
-            if reports_dir is not None:
-                restore_reports(artifact, reports_dir)
+            if bench is not None:
+                restore_reports(artifact, bench / "reports")
         else:
             error = (artifact or {}).get("error") or {}
             failures.append((
@@ -225,7 +173,7 @@ def _restore_renders(
             "wall": round(outcome.wall, 4),
         })
     executed_wall = sum(o.wall for o in outcomes if o.status == "completed")
-    summary = {
+    return {
         "benches": len(plan.benches),
         "skipped": sum(1 for o in outcomes if o.status == "cached"),
         "rendered": sum(1 for o in outcomes if o.status == "completed"),
@@ -239,40 +187,6 @@ def _restore_renders(
         "failures": [list(f) for f in failures],
         "per_bench": per_bench,
     }
-    return summary, outcomes
-
-
-def _render_phase(
-    plan: RenderPlan,
-    *,
-    workers: Optional[Sequence[str]],
-    jobs: Optional[int],
-    timeout: Optional[float],
-    retries: int,
-    cache: ArtifactStore,
-    events: EventLog,
-    trace_dir: Optional[Path],
-    profiles: Optional[ProfileStore] = None,
-    order_seed: Optional[int] = None,
-):
-    """Run the per-bench render specs through a scheduler pool and restore
-    every captured report; returns ``(render_summary, outcomes, pool)``."""
-    t0 = time.monotonic()
-    scheduler = _make_pool(
-        workers=workers, jobs=jobs, timeout=timeout, retries=retries,
-        cache=cache, events=events, trace_dir=trace_dir,
-        drain=True,  # the render pool is the sweep's last: send workers home
-        profiles=profiles, order_seed=order_seed,
-    )
-    for entry in plan.benches:
-        # consumed digests are a locality hint for the remote pool (shard
-        # the render next to its producers); the local pool drops them --
-        # they were never submitted to this phase's pool
-        scheduler.submit(entry.spec, after=entry.consumes)
-    results = scheduler.run()
-    wall = time.monotonic() - t0
-    summary, outcomes = _restore_renders(plan, scheduler.outcomes, results, wall)
-    return summary, outcomes, scheduler
 
 
 def run_sweep(
@@ -294,7 +208,6 @@ def run_sweep(
     live_port: int = 0,
     live_token: Optional[str] = None,
     live_linger: float = 2.0,
-    pipeline: bool = True,
     order_seed: Optional[int] = None,
 ) -> dict:
     """Full sweep: collect render keys, then run one profile-guided,
@@ -304,15 +217,12 @@ def run_sweep(
     wall profiles.  Returns the machine-readable summary also written to
     ``bench_out``.
 
-    ``pipeline=False`` restores the old barrier-phased plan (warm pool
-    drains completely, then a second render pool runs) -- the byte-identity
-    oracle the pipelined schedule is compared against in tests and CI.
     ``order_seed`` seeds a shuffle of ready-queue tie-breaks (adversarial
     -order determinism testing); artifacts and reports are byte-identical
     for every value.
 
-    With ``workers`` set (``--workers host:port,...``), the warm and render
-    phases run through coordinator-attached remote workers instead of local
+    With ``workers`` set (``--workers host:port,...``), the same single
+    pool runs through coordinator-attached remote workers instead of local
     forks; ``cache`` is then typically an
     :class:`~repro.fleet.remote.store.HTTPStore` so every machine shares
     one warm store.  ``--chaos`` additionally arms ``chaos`` deterministic
@@ -373,7 +283,7 @@ def run_sweep(
             workers=list(workers) if workers else None, cache=cache,
             events=events, bench_out=bench_out,
             sanitize_impls=sanitize_impls, trace_dir=trace_dir,
-            pipeline=pipeline, order_seed=order_seed,
+            order_seed=order_seed,
         )
         if observatory is not None:
             # every writer is done: seal the feed, then give attached
@@ -405,7 +315,6 @@ def _run_sweep(
     bench_out: Optional[Path],
     sanitize_impls: Sequence[str],
     trace_dir: Optional[Path],
-    pipeline: bool = True,
     order_seed: Optional[int] = None,
 ) -> dict:
     if suite not in SWEEP_SUITES:
@@ -415,7 +324,7 @@ def _run_sweep(
     events.emit("sweep-start", suite=suite)
 
     # wall profiles steer the local pool's LPT ordering; remote lease order
-    # is the coordinator's (lanes + locality).  Seeded from the committed
+    # is the coordinator's (priority + locality).  Seeded from the committed
     # BENCH_fleet.json so even a fresh checkout knows its tail jobs.
     profiles: Optional[ProfileStore] = None
     if not workers:
@@ -443,130 +352,64 @@ def _run_sweep(
             stack.enter_context(
                 recording(capacity=32768, mirror=trace_dir / "scheduler.jsonl")
             )
+        if workers:
+            from .remote.pool import RemotePool  # lazy: local sweeps stay lean
 
-        # -- warm + render: one dependency-aware pool (pipelined), or the
-        # old barrier phases (pipeline=False, or remote workers) ------------
-        t1 = time.monotonic()
-        # does a render phase follow?  if not, the warm pool is the last one
-        # and (remotely) must drain the workers itself
-        will_render = render and suite in ("all", "bench") and bool(plan.benches)
-        pipelined = bool(pipeline) and not workers and will_render
-        scheduler = _make_pool(
-            workers=workers, jobs=jobs, timeout=timeout, retries=retries,
-            cache=cache, events=events, trace_dir=trace_dir,
-            chaos_kills=chaos if workers else 0, chaos_seed=chaos_seed,
-            drain=not will_render or pipelined,
-            profiles=profiles, order_seed=order_seed,
-        )
-        if not pipelined:
-            events.emit("phase-start", phase="warm")
+            pool = RemotePool(
+                workers, store=cache, timeout=timeout, retries=retries,
+                events=events, chaos_kills=chaos, chaos_seed=chaos_seed,
+                drain=True, trace_dir=trace_dir,
+            )
+        else:
+            pool = FleetScheduler(
+                jobs=jobs, timeout=timeout, retries=retries, cache=cache,
+                events=events, trace_dir=trace_dir, profiles=profiles,
+                order_seed=order_seed,
+            )
         for spec in specs:
             # defects and chaos jobs are cheap; let the long PC runs go first
             priority = 1 if spec.mode != "tool" else 0
-            scheduler.submit(spec, priority=priority)
+            pool.submit(spec, priority=priority)
         for entry in plan.benches:
-            # opaque bodies *are* their own experiment: warm them here so
-            # a re-sweep cache-hits them instead of re-running
-            if entry.opaque:
-                scheduler.submit(entry.spec, priority=0)
-            elif pipelined:
-                # the pipelining itself: the render is admitted the moment
-                # its consumed artifacts are all terminal, not at a barrier
-                scheduler.submit(entry.spec, priority=0, after=entry.consumes)
-        pool_mark = len(getattr(events, "records", []))
-        scheduler.run()
-
-        render_summary = {
-            "benches": len(plan.benches), "skipped": 0, "rendered": 0,
-            "failed": 0, "wall": 0.0, "speedup_vs_serial": None,
-            "failures": [], "per_bench": [],
-        }
-        render_outcomes: list = []
-        last_pool = scheduler
-        if pipelined:
-            # phase windows are overlapped now; reconstruct them from the
-            # pool's own event timestamps and emit the markers post-hoc
-            # (EventLog.emit takes explicit t), so the critical-path phase
-            # decomposition keeps working under admission interleaving
-            render_set = {entry.spec.digest for entry in plan.benches}
-            pool_records = events.records[pool_mark:]
-            terminal = ("completed", "failed", "cached-hit")
-            t_pool = [r["t"] for r in pool_records if r.get("event") == "pool-start"]
-            t_warm0 = t_pool[0] if t_pool else None
-            warm_ts = [
-                r["t"] for r in pool_records
-                if r.get("event") in terminal and r.get("digest") not in render_set
-            ]
-            render_start_ts = [
-                r["t"] for r in pool_records
-                if r.get("event") in ("started", "cached-hit")
-                and r.get("digest") in render_set
-            ]
-            render_end_ts = [
-                r["t"] for r in pool_records
-                if r.get("event") in terminal and r.get("digest") in render_set
-            ]
-            if t_warm0 is not None:
-                t_warm1 = max(warm_ts, default=t_warm0)
-                t_render0 = min(render_start_ts, default=t_warm1)
-                t_render1 = max(render_end_ts, default=t_render0)
-                events.emit("phase-start", phase="warm", t=t_warm0)
-                events.emit("phase-end", phase="warm", t=t_warm1)
-                events.emit("phase-start", phase="render", t=t_render0)
-                events.emit("phase-end", phase="render", t=t_render1)
-                warm_wall = t_warm1 - t_warm0
-                render_wall = t_render1 - t_render0
-            else:  # pragma: no cover - record-less event log
-                warm_wall = time.monotonic() - t1
-                render_wall = 0.0
-            render_summary, render_outcomes = _restore_renders(
-                plan, scheduler.outcomes, scheduler.results, render_wall
-            )
-        else:
-            events.emit("phase-end", phase="warm")
-            warm_wall = time.monotonic() - t1
-            # -- render: per-bench jobs, skipped on an unchanged render key -
-            if will_render:
-                events.emit("phase-start", phase="render")
-                render_summary, render_outcomes, last_pool = _render_phase(
-                    plan, workers=workers, jobs=jobs, timeout=timeout,
-                    retries=retries, cache=cache, events=events,
-                    trace_dir=trace_dir, profiles=profiles,
-                    order_seed=order_seed,
-                )
-                events.emit("phase-end", phase="render")
-
-    if pipelined:
-        # warm accounting excludes the dependency-admitted renders (they
-        # have their own block) but keeps opaque bodies, matching where the
-        # barrier sweep ran them
-        opaque_set = {e.spec.digest for e in plan.benches if e.opaque}
-        outcomes = [
-            o for o in scheduler.outcomes.values()
-            if o.digest not in render_set or o.digest in opaque_set
-        ]
-    else:
-        outcomes = list(scheduler.outcomes.values())
-    executed_wall = sum(o.wall for o in outcomes if o.status == "completed")
-    speedup = (
-        round(executed_wall / warm_wall, 2)
-        if executed_wall and warm_wall > 0
-        else None
-    )
+            # a render is admitted the moment the artifacts it consumes are
+            # terminal; an opaque body consumes nothing and *is* its own
+            # experiment, so it is warmed even with --no-render
+            if render or entry.opaque:
+                pool.submit(entry.spec, priority=0, after=entry.consumes)
+        pool.run()
 
     # remote sweeps report the coordinator-side view (per-worker job counts,
     # steals/retries, store hit rate); the worker count observed there also
     # feeds the swimlane/critical-path analysis in place of the fork count
     remote_info = None
-    observed_workers = scheduler.jobs
+    observed_workers = pool.jobs
     if workers:
-        remote_info = last_pool.remote_summary()
-        observed_workers = len(remote_info.get("workers") or {}) or last_pool.jobs
+        remote_info = pool.remote_summary()
+        observed_workers = len(remote_info.get("workers") or {}) or pool.jobs
 
-    # what actually bounded the sweep's wall clock (observe subsystem)
+    # what actually bounded the sweep's wall clock (observe subsystem); its
+    # warm and render windows are taken from the pool's job events
     sweep_records = events.records[events_start:]
     cpath = critical_path(sweep_records, workers=observed_workers)
     scheduling = cpath.pop("scheduling", None)
+    warm_wall = cpath["phases"].get("warm", {}).get("wall", 0.0)
+    render_wall = cpath["phases"].get("render", {}).get("wall", 0.0)
+
+    render_summary = {
+        "benches": len(plan.benches), "skipped": 0, "rendered": 0,
+        "failed": 0, "wall": 0.0, "speedup_vs_serial": None,
+        "failures": [], "per_bench": [],
+    }
+    if render and plan.benches:
+        render_summary = _restore_renders(plan, pool, render_wall)
+
+    warm = [o for o in pool.outcomes.values() if phase_of(o.job) == "warm"]
+    executed_wall = sum(o.wall for o in warm if o.status == "completed")
+    speedup = (
+        round(executed_wall / warm_wall, 2)
+        if executed_wall and warm_wall > 0
+        else None
+    )
 
     if profiles is not None and profiles.dirty:
         try:
@@ -592,7 +435,7 @@ def _run_sweep(
 
     per_job = [
         {
-            "phase": phase,
+            "phase": phase_of(o.job),
             "digest": o.digest[:12],
             "job": o.job,
             "status": o.status,
@@ -601,23 +444,23 @@ def _run_sweep(
             "wall": round(o.wall, 4),
             "error": o.error,
         }
-        for phase, rows in (("warm", outcomes), ("render", render_outcomes))
-        for o in sorted(rows, key=lambda o: (-o.wall, o.job))
+        # warm rows first, then render rows; longest first within each
+        for o in sorted(pool.outcomes.values(),
+                        key=lambda o: (phase_of(o.job) == "render", -o.wall, o.job))
     ]
     summary = {
-        # schema 4: + "scheduling" (prediction error, packing efficiency vs
-        # the LPT lower bound, render admission lead), "pipeline", and
-        # "profiles"; schema 3 added "remote" for --workers sweeps
-        "schema": 4,
+        # schema 5: warm/render walls are job-event windows (the
+        # "pipeline" flag is gone: every sweep pipelines); schema 4 added
+        # "scheduling" and "profiles", schema 3 "remote" for --workers
+        "schema": 5,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "suite": suite,
-        "pipeline": pipelined,
-        "jobs": scheduler.requested_jobs,
+        "jobs": pool.requested_jobs,
         # requested concurrency clamped to usable CPUs (the jobs are
         # CPU-bound; oversubscribing only inflates per-job walls) -- or, on
         # a remote sweep, the live workers observed at the coordinators
         "workers": observed_workers,
-        "counts": scheduler.summary(),
+        "counts": pool.summary(),
         "cache": cache.describe(),
         "remote": remote_info,
         "collect": {

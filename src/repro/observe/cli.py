@@ -166,20 +166,13 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 def _last_sweep_records(records: list[dict]) -> list[dict]:
     """The records of the most recent sweep in an appended-forever log.
 
-    A sweep emits one ``sweep-start`` then one scheduler pool per phase
-    (warm, render), so the cut is at the last ``sweep-start``; older logs
-    without it fall back to the last ``pool-start``.
+    The analysis resets itself at every ``sweep-start``; older logs without
+    one are cut at their last ``pool-start``.
     """
-    start = 0
-    seen_sweep_start = False
-    for i, record in enumerate(records):
-        event = record.get("event")
-        if event == "sweep-start":
-            start = i
-            seen_sweep_start = True
-        elif event == "pool-start" and not seen_sweep_start:
-            start = i
-    return records[start:]
+    starts = [i for i, r in enumerate(records) if r.get("event") == "pool-start"]
+    if not starts or any(r.get("event") == "sweep-start" for r in records):
+        return records
+    return records[starts[-1]:]
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:

@@ -13,7 +13,11 @@ derive what actually bounded the sweep's wall clock:
 * the **worker-idle fraction** -- ``1 - busy / (workers * makespan)``,
   the headroom a better schedule (or more cache hits) could reclaim;
 * the **speedup-vs-serial decomposition** -- executed worker-seconds over
-  makespan, next to the job/cache-hit counts that explain it.
+  makespan, next to the job/cache-hit counts that explain it;
+* the **phase decomposition** -- *warm* and *render* are windows over the
+  job events themselves (a ``render:`` job label is render, anything else
+  warm; the sweep runs both in one pool, so they overlap), plus any
+  ``phase-start`` / ``phase-end`` marker pair the sweep logs (*collect*).
 
 All inputs are wall timestamps, so the numbers are not byte-stable -- only
 the *structure* (job names, counts) is; ``repro fleet sweep`` appends the
@@ -27,7 +31,7 @@ from typing import Iterable, Optional
 
 __all__ = [
     "sweep_intervals",
-    "phase_windows",
+    "phase_of",
     "critical_path",
     "render_critical_path",
     "IncrementalCriticalPath",
@@ -38,6 +42,11 @@ __all__ = [
 CHAIN_TOLERANCE = 0.5
 
 
+def phase_of(job: str) -> str:
+    """The sweep phase a job belongs to, by its label."""
+    return "render" if job.startswith("render:") else "warm"
+
+
 class IncrementalCriticalPath:
     """Record-at-a-time consumer behind both analysis paths.
 
@@ -46,12 +55,9 @@ class IncrementalCriticalPath:
     they are tailed and calls :meth:`summary` per ``/critical-path``
     request.  State is the running interval/phase/cache bookkeeping --
     O(records) memory, O(1) per record -- with the chain walk deferred
-    to :meth:`summary` (it needs the full interval set anyway).
-
-    ``reset_on_sweep_start`` makes a long-lived consumer track only the
-    most recent sweep in an appended-forever log (the live service's
-    mode); the post-hoc wrapper leaves it off so explicitly pre-cut
-    record lists keep their historical behaviour.
+    to :meth:`summary` (it needs the full interval set anyway).  A
+    ``sweep-start`` record resets it, so a long-lived consumer of an
+    appended-forever log tracks the most recent sweep.
     """
 
     def __init__(
@@ -59,11 +65,9 @@ class IncrementalCriticalPath:
         *,
         workers: Optional[int] = None,
         tolerance: float = CHAIN_TOLERANCE,
-        reset_on_sweep_start: bool = False,
     ) -> None:
         self._workers_override = workers
         self.tolerance = tolerance
-        self.reset_on_sweep_start = reset_on_sweep_start
         self._reset()
 
     def _reset(self) -> None:
@@ -78,7 +82,7 @@ class IncrementalCriticalPath:
 
     def consume(self, record: dict) -> None:
         event = record.get("event")
-        if event == "sweep-start" and self.reset_on_sweep_start:
+        if event == "sweep-start":
             self._reset()
         self.consumed += 1
         if event == "pool-start":
@@ -123,15 +127,23 @@ class IncrementalCriticalPath:
 
     def summary(self) -> dict:
         """The critical-path summary over everything consumed so far."""
-        intervals, cached, windows = self.intervals, self.cached, self.windows
-        phases = {}
-        for name, (p0, p1) in windows.items():
-            in_phase = [i for i in intervals if p0 <= i["start"] <= p1]
+        intervals, cached = self.intervals, self.cached
+        # per-phase wall, job counts and busy time: marker windows
+        # (collect), then the job-event windows of warm and render
+        phases = {name: {"wall": round(p1 - p0, 3), "executed": 0, "cached": 0,
+                         "busy": 0.0}
+                  for name, (p0, p1) in self.windows.items()}
+        for name in ("warm", "render"):
+            runs = [i for i in intervals if phase_of(i["job"]) == name]
+            hits = [c["t"] for c in cached if phase_of(c["job"]) == name]
+            edges = [t for i in runs for t in (i["start"], i["end"])] + hits
+            if not edges:
+                continue
             phases[name] = {
-                "wall": round(p1 - p0, 3),
-                "executed": len(in_phase),
-                "cached": sum(1 for c in cached if p0 <= c["t"] <= p1),
-                "busy": round(sum(i["end"] - i["start"] for i in in_phase), 3),
+                "wall": round(max(edges) - min(edges), 3),
+                "executed": len(runs),
+                "cached": len(hits),
+                "busy": round(sum(i["end"] - i["start"] for i in runs), 3),
             }
         bounding = (
             max(phases, key=lambda name: phases[name]["wall"]) if phases else None
@@ -195,8 +207,8 @@ class IncrementalCriticalPath:
     def scheduling(self) -> dict:
         """Scheduling-efficiency metrics (the BENCH_fleet ``scheduling``
         block): how good were the profile predictions, how tight is the
-        packing against the LPT lower bound, and how much earlier did
-        renders get admitted than the old warm barrier would have allowed.
+        packing against the LPT lower bound, and how long before the last
+        warm job ended the first render started.
         """
         intervals = self.intervals
         out: dict = {
@@ -235,15 +247,15 @@ class IncrementalCriticalPath:
             "longest_job": round(longest, 3),
             "efficiency": round(lower / makespan, 4) if makespan > 0 else None,
         }
-        renders = [i for i in intervals if i["job"].startswith("render:")]
-        others = [i for i in intervals if not i["job"].startswith("render:")]
+        renders = [i for i in intervals if phase_of(i["job"]) == "render"]
+        others = [i for i in intervals if phase_of(i["job"]) == "warm"]
         if renders and others:
             warm_end = max(i["end"] for i in others)
             first_render = min(i["start"] for i in renders)
             out["render_admission"] = {
                 "renders_executed": len(renders),
                 # positive = renders started before the last warm job ended,
-                # i.e. pipelining beat the barrier by this many seconds
+                # i.e. pipelining beat a warm/render barrier by this much
                 "lead": round(warm_end - first_render, 3),
                 "early_admissions": sum(
                     1 for i in renders if i["start"] < warm_end
@@ -261,13 +273,6 @@ def sweep_intervals(records: Iterable[dict]) -> tuple[list[dict], list[dict]]:
     """
     state = IncrementalCriticalPath().consume_all(records)
     return state.intervals, state.cached
-
-
-def phase_windows(records: Iterable[dict]) -> dict[str, tuple[float, float]]:
-    """``phase -> (start, end)`` wall windows from the sweep's
-    ``phase-start`` / ``phase-end`` marker records (emitted by
-    ``run_sweep`` around collect / warm / render)."""
-    return IncrementalCriticalPath().consume_all(records).windows
 
 
 def _chain(intervals: list[dict], t_start: float,

@@ -80,7 +80,7 @@ class LiveObservatory(BackgroundServer):
         self.merger = LiveMerger(holdback=holdback)
         self.swimlanes = SwimlaneState()
         self.consultant = ConsultantState()
-        self.cpath = IncrementalCriticalPath(reset_on_sweep_start=True)
+        self.cpath = IncrementalCriticalPath()
         self._fleet_tail = (
             MirrorTail(self.events_path) if self.events_path else None
         )

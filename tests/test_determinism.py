@@ -95,14 +95,14 @@ def test_serial_pool_and_warm_cache_artifacts_byte_identical(tmp_path):
     serial = {s.digest: to_bytes(execute_spec(s)) for s in specs}
 
     cache = ResultCache(tmp_path / "cache")
-    pool = FleetScheduler(jobs=2, cache=cache, poll_interval=0.01)
+    pool = FleetScheduler(jobs=2, cache=cache)
     for spec in specs:
         pool.submit(spec)
     pooled = {d: to_bytes(a) for d, a in pool.run().items()}
     assert pooled == serial
     assert pool.summary()["completed"] == len(specs)
 
-    warm = FleetScheduler(jobs=2, cache=cache, poll_interval=0.01)
+    warm = FleetScheduler(jobs=2, cache=cache)
     for spec in specs:
         warm.submit(spec)
     replayed = {d: to_bytes(a) for d, a in warm.run().items()}

@@ -1,6 +1,8 @@
-"""repro.fleet: specs, cache, scheduler, events, sweeps.
+"""repro.fleet: specs, cache, job graph, scheduler, events, sweeps.
 
-The scheduler tests drive the real multiprocessing pool with stub executors
+The job-graph tests drive the pure state machine with explicit clock
+values.  The scheduler tests drive the real multiprocessing pool with stub
+executors
 (module-level so they survive any start method): a sleeper for timeouts, a
 raiser for retry exhaustion, a hard os._exit crash for worker-death
 containment.  Digest tests pin ``REPRO_CODE_VERSION`` so expectations hold
@@ -19,6 +21,7 @@ from repro.fleet import (
     CollectOnly,
     EventLog,
     FleetScheduler,
+    JobGraph,
     ResultCache,
     RunSpec,
     canonical_json,
@@ -238,7 +241,6 @@ def _scheduler(**kw):
     kw.setdefault("jobs", 2)
     kw.setdefault("retries", 0)
     kw.setdefault("backoff", 0.01)
-    kw.setdefault("poll_interval", 0.01)
     return FleetScheduler(**kw)
 
 
@@ -368,6 +370,98 @@ def test_scheduler_priority_orders_launches(pinned_version):
     sched.run()
     started = [e["job"] for e in log.records if e["event"] == "started"]
     assert started == ["tool:high-prio/lam", "tool:low-prio/lam"]
+
+
+# --------------------------------------------------------------- job graph
+#
+# Pure state machine: every call takes the clock value explicitly, so these
+# run instantly and exactly.
+
+
+def test_job_graph_priority_class_before_lpt():
+    graph = JobGraph()
+    graph.add("long-sweep", priority=1, predicted=30.0)
+    graph.add("short-tool", priority=0, predicted=0.1)
+    graph.add("long-tool", priority=0, predicted=9.0)
+    assert [graph.pop(0.0) for _ in range(3)] == [
+        "long-tool", "short-tool", "long-sweep",
+    ]
+    assert graph.pop(0.0) is None
+
+
+def test_job_graph_failed_producer_releases_consumers():
+    graph = JobGraph(retries=0)
+    graph.add("producer")
+    assert graph.add("consumer", after=("producer",)) == ("producer",)
+    assert graph.pop(0.0) == "producer"
+    assert graph.start("producer") == 1
+    assert graph.pop(0.0) is None  # held while the producer runs
+    assert graph.retry("producer", 0.0) is None  # no retries: it failed
+    assert graph.done("producer") == ["consumer"]
+    assert graph.pop(0.0) == "consumer"
+    assert graph.done("consumer") == [] and graph.unfinished == 0
+
+
+def test_job_graph_ignores_unsubmitted_and_terminal_producers():
+    graph = JobGraph()
+    graph.add("finished")
+    graph.pop(0.0)
+    graph.done("finished")
+    assert graph.add("lone", after=("never-added", "finished")) == ()
+    assert graph.pop(0.0) == "lone"
+
+
+def test_job_graph_backoff_doubles_until_retries_run_out():
+    graph = JobGraph(retries=3, backoff=0.25)
+    graph.add("flaky")
+    now, delays = 100.0, []
+    while True:
+        assert graph.pop(now) == "flaky"
+        attempt = graph.start("flaky")
+        delay = graph.retry("flaky", now)
+        if delay is None:
+            break
+        delays.append(delay)
+        assert graph.next_wake() == now + delay
+        assert graph.pop(now + delay - 1e-6) is None  # still backing off
+        now += delay
+    assert delays == [0.25, 0.5, 1.0]  # 0.25 * 2**(n-1)
+    assert attempt == 4  # the first try plus three retries
+
+
+def test_job_graph_steal_requeues_immediately():
+    graph = JobGraph(backoff=10.0)
+    graph.add("job")
+    graph.pop(0.0)
+    graph.start("job")
+    graph.requeue("job")  # lease expired: no backoff
+    assert graph.next_wake() is None
+    assert graph.pop(0.0) == "job"
+    assert graph.start("job") == 2
+
+
+def test_job_graph_order_seed_is_reproducible():
+    def pops(seed):
+        graph = JobGraph(order_seed=seed)
+        for i in range(8):
+            graph.add(f"j{i}")
+        return [graph.pop(0.0) for _ in range(8)]
+
+    assert pops(None) == [f"j{i}" for i in range(8)]  # FIFO without a seed
+    assert pops(7) == pops(7)
+    assert len({tuple(pops(seed)) for seed in (7, 11, 23)}) > 1
+
+
+def test_cli_fleet_run_local_then_cache_hit(tmp_path, capsys):
+    from repro.cli import main
+
+    argv = ["fleet", "run", "random_barrier", "--mode", "sanitize", "--quick",
+            "--cache", str(tmp_path / "cache")]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    assert ": ok in " in first and "cache hit" not in first
+    assert main(argv) == 0
+    assert ": ok (cache hit) in " in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ sweeps

@@ -8,12 +8,14 @@ Three layers of test:
   puts staying idempotent; the stranded-``*.tmp``-file sweep regression.
 * **coordinator** -- the lease/heartbeat state machine driven with an
   injected fake clock: renewal, expiry -> steal, bounded worker loss ->
-  ``worker-lost`` failure, reported-failure retry/backoff, the
-  code-version handshake, and the deterministic chaos-kill schedule.
+  ``worker-lost`` failure, reported-failure retry/backoff, ``after``
+  holds, interactive priority, ``reset``, the code-version handshake,
+  and the deterministic chaos-kill schedule.
 * **end-to-end** -- real worker *processes* (fork) against an in-process
   coordinator + store: a two-worker sweep whose artifacts are
   byte-identical to the fork pool's, chaos SIGKILLing a live worker
-  mid-lease with the job stolen and completed by the survivor, and
+  mid-lease with the job stolen and completed by the survivor, a pool
+  returning while another client's job still runs, and
   ``run_sweep(workers=...)`` over the synthetic bench suite matching a
   local sweep object-for-object.
 
@@ -77,6 +79,14 @@ def _stub_ok(spec: RunSpec) -> dict:
 
 def _stub_raise(spec: RunSpec) -> dict:
     raise RuntimeError(f"boom for {spec.label}")
+
+
+def _stub_gated(spec: RunSpec) -> dict:
+    """Blocks until the file named by the spec's ``gate`` param exists."""
+    gate = spec.program_params().get("gate")
+    while gate and not Path(gate).exists():
+        time.sleep(0.01)
+    return _stub_ok(spec)
 
 
 def make_specs(n: int) -> list[RunSpec]:
@@ -412,6 +422,61 @@ def test_reported_failure_retries_with_backoff_then_fails(pinned_version):
     assert coord.status()["failed"] == 1
 
 
+@pytest.mark.parametrize("outcome", ["completed", "failed"])
+def test_after_holds_consumer_until_producer_terminal(pinned_version, outcome):
+    clock = FakeClock()
+    coord = make_coordinator(clock, retries=1)
+    producer, consumer = make_specs(2)
+    rows = job_rows([producer, consumer])
+    rows[1]["after"] = [producer.digest]
+    coord.submit_jobs({"jobs": rows})
+    assert events_of(coord, "queued")[1]["deps"] == 1
+    first = coord.lease("w1", code_version())["job"]
+    assert first["digest"] == producer.digest
+    assert coord.lease("w2", code_version())["job"] is None  # held
+    if outcome == "failed":
+        bad = failure_artifact(producer, "RuntimeError", "boom")
+        coord.result(first["lease"], bad)  # retried: not terminal yet
+        retry = coord.lease("w2", code_version())["job"]
+        assert retry["digest"] == producer.digest and retry["attempt"] == 2
+        assert not events_of(coord, "admitted")
+        coord.result(retry["lease"], bad)
+    else:
+        coord.result(first["lease"], ok_artifact(producer))
+    assert events_of(coord, outcome)
+    (admitted,) = events_of(coord, "admitted")
+    assert admitted["digest"] == consumer.digest and admitted["deps"] == 1
+    released = coord.lease("w2", code_version())["job"]
+    assert released["digest"] == consumer.digest
+
+
+def test_interactive_priority_leases_ahead_of_sweep_rows(pinned_version):
+    coord = make_coordinator(FakeClock())
+    cheap, tool, urgent = make_specs(3)
+    rows = job_rows([cheap, tool])
+    rows[0]["priority"], rows[1]["priority"] = 1, 0  # the two sweep classes
+    coord.submit_jobs({"jobs": rows})
+    late = job_rows([urgent])
+    late[0]["priority"] = -1  # repro fleet run --interactive
+    coord.submit_jobs({"jobs": late})
+    leased = [coord.lease(f"w{i}", code_version())["job"]["digest"]
+              for i in range(3)]
+    assert leased == [urgent.digest, tool.digest, cheap.digest]
+
+
+def test_reset_then_resubmit_runs_again(pinned_version):
+    coord = make_coordinator(FakeClock())
+    (spec,) = make_specs(1)
+    coord.submit_jobs({"jobs": job_rows([spec])})
+    job = coord.lease("w1", code_version())["job"]
+    coord.result(job["lease"], ok_artifact(spec))
+    assert coord.control("reset") == {"ok": True, "jobs": 0}
+    again = coord.submit_jobs({"jobs": job_rows([spec])})
+    assert again["accepted"] == 1 and again["done"] == []
+    rerun = coord.lease("w1", code_version())["job"]
+    assert rerun["digest"] == spec.digest and rerun["attempt"] == 1
+
+
 def test_code_version_handshake_refuses_mismatched_worker(pinned_version):
     coord = make_coordinator(FakeClock())
     coord.submit_jobs({"jobs": job_rows(make_specs(1))})
@@ -500,6 +565,46 @@ def test_worker_short_circuits_through_store(
     finally:
         coord.shutdown()
         server.shutdown()
+
+
+def test_remote_pool_returns_once_its_own_jobs_resolve(
+    tmp_path, pinned_version
+):
+    """A pool sharing a coordinator with another client's sweep returns
+    once its own jobs are terminal, not when the whole queue drains."""
+    gate = tmp_path / "gate"
+    coord = FleetCoordinator(lease_timeout=5.0).start()
+    try:
+        # another client's job, queued first; it runs until the gate opens
+        other = RunSpec.make("other-sweep", params={"gate": str(gate)})
+        coord.submit_jobs({"jobs": job_rows([other])})
+        (mine,) = make_specs(1)
+        pool = RemotePool([coord.address], retries=0, poll_interval=0.02)
+        pool.submit(mine, priority=-1)
+        box: dict = {}
+        pool_thread = threading.Thread(
+            target=lambda: box.setdefault("results", pool.run()), daemon=True
+        )
+        pool_thread.start()
+        assert wait_for(lambda: coord.health()["pending"] == 2)
+        worker = FleetWorker(
+            coord.address, worker_id="w0", executor=_stub_gated,
+            poll_interval=0.02, log=lambda m: None,
+        )
+        worker_thread = threading.Thread(target=worker.run, daemon=True)
+        worker_thread.start()
+        pool_thread.join(20)
+        assert not pool_thread.is_alive()
+        assert box["results"][mine.digest]["status"] == "ok"
+        assert coord.health()["leased"] == 1  # the other job is still running
+        gate.touch()
+        assert wait_for(lambda: coord.status()["completed"] == 2)
+        coord.control("drain")
+        worker_thread.join(10)
+        assert not worker_thread.is_alive()
+    finally:
+        gate.touch()
+        coord.shutdown()
 
 
 def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
@@ -662,12 +767,15 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
     worker.start()
     try:
         store = HTTPStore(server.url)
+        log = EventLog()
         summary = run_sweep(
             suite="bench", retries=0, workers=[coord.address], cache=store,
-            bench_out=tmp_path / "BENCH_remote.json",
+            bench_out=tmp_path / "BENCH_remote.json", events=log,
         )
         worker.join(20)
-        assert summary["schema"] == 4
+        assert summary["schema"] == 5
+        # one pool for warm and render jobs alike: the remote sweep pipelines
+        assert [r["event"] for r in log.records].count("pool-start") == 1
         assert summary["counts"]["failed"] == 0
         assert summary["counts"]["completed"] == local["counts"]["completed"]
         remote = summary["remote"]

@@ -254,21 +254,19 @@ def test_editing_one_bench_rerenders_only_that_bench(bench_env):
 
 
 def test_editing_opaque_bench_rewarms_only_that_bench(bench_env):
-    """An edited opaque body re-executes once in the shared pool (it is
-    accounted in both the warm rows and the render summary) and nothing
-    else re-runs."""
+    """An edited opaque body re-executes once in the shared pool (one
+    render row, as every ``render:`` job) and nothing else re-runs."""
     warm_beta_artifact()
     sweep()
     (bench_env / "bench_alpha.py").write_text(ALPHA.replace("alpha-v1", "alpha-v2"))
     summary = sweep()
     assert summary["render"]["rendered"] == 1
     assert summary["render"]["skipped"] == 1
-    warm_render = [
+    rerendered = [
         row for row in summary["per_job"]
-        if row["phase"] == "warm" and row["job"].startswith("render:")
-        and row["status"] == "completed"
+        if row["phase"] == "render" and row["status"] == "completed"
     ]
-    assert [row["job"] for row in warm_render] == [
+    assert [row["job"] for row in rerendered] == [
         "render:bench_alpha::test_alpha/bench"
     ]
     assert b"alpha-v2" in read_reports(bench_env)["alpha.txt"]
@@ -283,10 +281,10 @@ def test_editing_common_invalidates_every_bench(bench_env):
     assert summary["render"]["rendered"] == 2  # both render keys moved
     assert summary["render"]["skipped"] == 0
     assert summary["render"]["benches"] == 2
-    warm_rows = {
-        row["job"]: row for row in summary["per_job"] if row["phase"] == "warm"
+    render_rows = {
+        row["job"]: row for row in summary["per_job"] if row["phase"] == "render"
     }
-    assert warm_rows["render:bench_alpha::test_alpha/bench"]["status"] == "completed"
+    assert render_rows["render:bench_alpha::test_alpha/bench"]["status"] == "completed"
 
 
 def test_changed_consumed_artifact_invalidates_consumer_only(bench_env, monkeypatch):
@@ -325,14 +323,14 @@ def test_pipelined_schedule_matches_barrier_oracle(
     bench_env, tmp_path, monkeypatch
 ):
     """The dependency-pipelined schedule must be a pure reordering: every
-    cached artifact and every report byte-identical to the barrier-phased
-    plan it replaced."""
+    cached artifact and every report byte-identical to a one-worker sweep,
+    where each job is admitted only after the previous one finished (a
+    barrier between every pair of jobs)."""
     snapshots = {}
-    for tag, pipeline in (("barrier", False), ("pipelined", True)):
+    for tag, jobs in (("barrier", 1), ("pipelined", 2)):
         summary = fresh_cache_sweep(
-            bench_env, tmp_path, monkeypatch, tag, pipeline=pipeline
+            bench_env, tmp_path, monkeypatch, tag, jobs=jobs
         )
-        assert summary["pipeline"] is pipeline
         assert summary["render"]["failed"] == 0
         assert summary["counts"]["failed"] == 0
         snapshots[tag] = (read_reports(bench_env), cache_snapshot())
@@ -350,6 +348,7 @@ def test_adversarial_admission_order_is_byte_deterministic(
             bench_env, tmp_path, monkeypatch, f"seed-{seed}",
             order_seed=seed,
         )
+        assert summary["render"]["failed"] == 0
         assert summary["counts"]["failed"] == 0
         snapshot = (read_reports(bench_env), cache_snapshot())
         if baseline is None:

@@ -352,34 +352,35 @@ def test_critical_path_empty_and_all_cached():
 
 
 def test_critical_path_phase_decomposition():
-    """phase-start/phase-end markers segment the sweep into warm/render;
-    the summary names the bounding phase and attributes jobs and cache
-    hits to the phase they ran in."""
+    """Warm and render are windows over the job events (a ``render:``
+    label is render), the collect marker pair adds its own window; the
+    summary names the bounding phase and attributes jobs and cache hits
+    to their phase, even where the windows overlap."""
+    render = {"job": "render:bench"}
     records = _records(
         ("sweep-start", None, 0.0, {"suite": "all"}),
-        ("phase-start", None, 0.0, {"phase": "warm"}),
-        ("pool-start", None, 0.0, {"workers": 2}),
+        ("phase-start", None, 0.0, {"phase": "collect"}),
+        ("phase-end", None, 0.1, {"phase": "collect"}),
+        ("pool-start", None, 0.1, {"workers": 2}),
         ("started", "d1", 0.1, {"attempt": 1}),
+        ("cached-hit", "d2", 0.2, render),
         ("completed", "d1", 5.0, {"attempt": 1}),
-        ("phase-end", None, 5.1, {"phase": "warm"}),
-        ("phase-start", None, 5.1, {"phase": "render"}),
-        ("pool-start", None, 5.1, {"workers": 2}),
-        ("cached-hit", "d2", 5.2, {}),
-        ("started", "d3", 5.2, {"attempt": 1}),
-        ("completed", "d3", 6.0, {"attempt": 1}),
-        ("phase-end", None, 6.1, {"phase": "render"}),
+        ("started", "d3", 5.2, {"attempt": 1, **render}),
+        ("completed", "d3", 6.0, {"attempt": 1, **render}),
     )
     summary = critical_path(records)
     phases = summary["phases"]
-    assert set(phases) == {"warm", "render"}
+    assert set(phases) == {"collect", "warm", "render"}
+    assert phases["collect"]["wall"] == 0.1
     assert phases["warm"] == {
-        "wall": 5.1, "executed": 1, "cached": 0, "busy": 4.9,
+        "wall": 4.9, "executed": 1, "cached": 0, "busy": 4.9,
     }
-    assert phases["render"]["executed"] == 1
-    assert phases["render"]["cached"] == 1
-    assert summary["bounding_phase"] == "warm"
+    assert phases["render"] == {
+        "wall": 5.8, "executed": 1, "cached": 1, "busy": 0.8,
+    }
+    assert summary["bounding_phase"] == "render"
     text = render_critical_path(summary)
-    assert "warm-bound" in text and "render" in text
+    assert "render-bound" in text and "warm" in text
 
 
 def test_critical_path_phases_survive_all_cached_sweep():
@@ -387,14 +388,13 @@ def test_critical_path_phases_survive_all_cached_sweep():
     must still be present (it is how `observe critical-path` shows the
     render phase collapsed to cache restores)."""
     records = _records(
-        ("phase-start", None, 0.0, {"phase": "render"}),
-        ("cached-hit", "d1", 0.1, {}),
-        ("cached-hit", "d2", 0.2, {}),
-        ("phase-end", None, 0.3, {"phase": "render"}),
+        ("cached-hit", "d1", 0.1, {"job": "render:a"}),
+        ("cached-hit", "d2", 0.3, {"job": "render:b"}),
     )
     summary = critical_path(records)
     assert summary["executed"] == 0
     assert summary["phases"]["render"]["cached"] == 2
+    assert summary["phases"]["render"]["wall"] == 0.2
     assert summary["bounding_phase"] == "render"
 
 
@@ -426,7 +426,6 @@ def _scheduler(**kw):
     kw.setdefault("jobs", 2)
     kw.setdefault("retries", 0)
     kw.setdefault("backoff", 0.01)
-    kw.setdefault("poll_interval", 0.01)
     return FleetScheduler(**kw)
 
 
