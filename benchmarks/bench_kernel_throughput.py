@@ -246,12 +246,10 @@ def sampling_off(make_kernel, samples: int = 4000):
 
 
 def sampling_batched(make_kernel, ranks: int = 8, rounds: int = 60):
-    """Full tool-stack sampling through the daemon, run twice -- once with
-    the proc-major batched read plan, once with the pair-major scan it
-    replaced -- asserting every per-process histogram byte-identical
-    between the two before returning the batched run's observables.
-    This pins the batching optimization to the old semantics the same way
-    the before/after kernel comparison pins the event loop."""
+    """Full tool-stack sampling through the daemon's proc-major read plan.
+    The checksum covers every per-process histogram bin, and
+    ``tests/test_kernel_fastpath.py`` pins it at test size on both kernels,
+    so a change to what the daemon records shows up as a checksum change."""
     from repro.core import Focus, Paradyn
     from repro.mpi import MpiProgram, MpiUniverse
     from repro.sim import Cluster
@@ -278,35 +276,25 @@ def sampling_batched(make_kernel, ranks: int = 8, rounds: int = 60):
 
     metrics = ("msgs_sent", "msg_bytes_sent", "msg_sync_wait")
 
-    def run_once(batched: bool):
-        universe = MpiUniverse(
-            kernel=make_kernel(),
-            cluster=Cluster(num_nodes=2, cpus_per_node=4),
-        )
-        tool = Paradyn(universe, bin_width=0.01)
-        for node in universe.cluster.nodes:
-            tool.daemon_for(node.name).batched_sampling = batched
-        for metric in metrics:
-            tool.enable(metric, Focus.whole_program())
-        universe.launch(BenchProgram(), ranks)
-        universe.run()
-        shots = []
-        for metric in metrics:
-            data = tool.data(metric, Focus.whole_program())
-            for pid in sorted(data.per_process):
-                hist = data.per_process[pid]
-                shots.append([
-                    metric, pid, hist.folds, round(hist.start_time, 9),
-                    [round(v, 9) for v in hist.filled_bins()],
-                ])
-        return round(universe.kernel.now, 9), shots
-
-    vtime, shots = run_once(True)
-    unbatched = run_once(False)
-    if (vtime, json.dumps(shots)) != (unbatched[0], json.dumps(unbatched[1])):
-        raise AssertionError(
-            "batched daemon sampling diverged from the pair-major scan"
-        )
+    universe = MpiUniverse(
+        kernel=make_kernel(),
+        cluster=Cluster(num_nodes=2, cpus_per_node=4),
+    )
+    tool = Paradyn(universe, bin_width=0.01)
+    for metric in metrics:
+        tool.enable(metric, Focus.whole_program())
+    universe.launch(BenchProgram(), ranks)
+    universe.run()
+    shots = []
+    for metric in metrics:
+        data = tool.data(metric, Focus.whole_program())
+        for pid in sorted(data.per_process):
+            hist = data.per_process[pid]
+            shots.append([
+                metric, pid, hist.folds, round(hist.start_time, 9),
+                [round(v, 9) for v in hist.filled_bins()],
+            ])
+    vtime = round(universe.kernel.now, 9)
     events = 0
     checksum = 0
     for metric, pid, folds, start, bins in shots:

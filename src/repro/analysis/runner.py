@@ -71,7 +71,6 @@ def run_program(
     bin_width: float = 0.2,
     snippet_cost: float = 2.5e-7,
     legacy_metrics: bool = False,
-    extended_io: bool = False,
     spawn_method: str = "intercept",
     seed: int = 0,
     until: Optional[float] = None,
@@ -89,7 +88,6 @@ def run_program(
             num_bins=num_bins,
             snippet_cost=snippet_cost,
             legacy_metrics=legacy_metrics,
-            extended_io=extended_io,
             spawn_method=spawn_method,
             pc_thresholds=thresholds,
             pc_experiment_window=pc_window,

@@ -99,6 +99,15 @@ DEFAULT_THRESHOLDS = {
 #: the bound the eager path runs exactly as before.
 LAZY_EXPANSION_BOUND = 128
 
+#: experiments in flight at once
+MAX_CONCURRENT = 12
+#: deepest node the search tests (the root is depth 0); deeper
+#: refinements end UNKNOWN
+MAX_DEPTH = 8
+#: simulated seconds an experiment must observe before the program ends
+#: for its verdict to count (shorter ones end UNKNOWN)
+MIN_OBSERVATION = 0.5
+
 
 @dataclass
 class PCNode:
@@ -135,9 +144,6 @@ class PerformanceConsultant:
         *,
         thresholds: Optional[dict[str, float]] = None,
         experiment_window: float = 2.0,
-        max_concurrent: int = 12,
-        max_depth: int = 8,
-        min_observation: float = 0.5,
     ) -> None:
         self.frontend = frontend
         self.kernel = kernel
@@ -145,9 +151,6 @@ class PerformanceConsultant:
         if thresholds:
             self.thresholds.update(thresholds)
         self.experiment_window = experiment_window
-        self.max_concurrent = max_concurrent
-        self.max_depth = max_depth
-        self.min_observation = min_observation
         #: dynamic call graph observed by the attach-time trace hook:
         #: function name -> set of callee names
         self.callgraph: dict[str, set[str]] = {}
@@ -239,7 +242,7 @@ class PerformanceConsultant:
         )
         self._tested[key] = node
         parent.children.append(node)
-        if node.depth <= self.max_depth:
+        if node.depth <= MAX_DEPTH:
             self._queue.append(node)
         else:  # pragma: no cover - depth guard
             node.state = NodeState.UNKNOWN
@@ -252,7 +255,7 @@ class PerformanceConsultant:
             return
         # LIFO: newest (deepest) candidates first, so refinement chains run
         # depth-first and reach leaf causes before the program ends.
-        while len(self._testing) < self.max_concurrent:
+        while len(self._testing) < MAX_CONCURRENT:
             node = self._next_candidate()
             if node is None:
                 return
@@ -287,7 +290,7 @@ class PerformanceConsultant:
                 )
                 self._tested[key] = node
                 parent.children.append(node)
-                if node.depth <= self.max_depth:
+                if node.depth <= MAX_DEPTH:
                     return node
                 node.state = NodeState.UNKNOWN  # pragma: no cover - depth guard
             self._expansions.pop()
@@ -310,7 +313,7 @@ class PerformanceConsultant:
     def _decide(self, node: PCNode, now: float, *, final: bool = False) -> None:
         data = self.frontend.enabled.get((node.metric_name, node.focus))
         observed = now - node.started_at
-        if data is None or observed <= 0.0 or (final and observed < self.min_observation):
+        if data is None or observed <= 0.0 or (final and observed < MIN_OBSERVATION):
             node.state = NodeState.UNKNOWN
             self._record_decision(node)
             return
@@ -531,18 +534,17 @@ class PerformanceConsultant:
             )
         return "\n".join(lines)
 
-    def render_condensed(self, *, show_values: bool = True) -> str:
+    def render_condensed(self) -> str:
         """The condensed PC diagram of the paper: true nodes only."""
         lines: list[str] = ["TopLevelHypothesis"]
 
         def visit(node: PCNode, indent: int) -> None:
             for child in node.children:
                 if child.is_true:
-                    value = f"  [{child.value:.2f}]" if show_values else ""
                     what = child.label or child.focus.describe()
                     if child.parent is self.root:
                         what = child.hypothesis.name
-                    lines.append("  " * indent + "+ " + what + value)
+                    lines.append("  " * indent + f"+ {what}  [{child.value:.2f}]")
                     visit(child, indent + 1)
                 else:
                     visit(child, indent)

@@ -44,7 +44,6 @@ class Daemon:
         node_name: str,
         *,
         mpi_implementation: str = "",
-        sample_interval: Optional[float] = None,
         snippet_cost: float = 0.0,
     ) -> None:
         self.frontend = frontend
@@ -53,7 +52,7 @@ class Daemon:
         #: the optional daemon attribute added in Section 4.1 so one tool
         #: session can drive either LAM or MPICH on non-shared filesystems.
         self.mpi_implementation = mpi_implementation
-        self.sample_interval = sample_interval or frontend.bin_width
+        self.sample_interval = frontend.bin_width
         self.snippet_cost = snippet_cost
         self.procs: list[Any] = []
         #: identity set mirroring ``procs`` -- membership tests on the
@@ -70,10 +69,7 @@ class Daemon:
         self._exited_pending: list[Any] = []
         self.mutators: dict[int, Mutator] = {}
         self._sampling = False
-        #: proc-major batched reads on the sample path (one pass per process
-        #: over its bound instances, plan cached between structural changes);
-        #: clear to fall back to the pair-major scan
-        self.batched_sampling = True
+        #: proc-major read plan for the sample path (see _build_sample_plan)
         self._sample_plan: Optional[list] = None
         frontend.add_daemon(self)
 
@@ -257,57 +253,34 @@ class Daemon:
     def sample_now(self, now: float, record_at: float = None) -> None:
         """Read all active instrumentation on this daemon's processes.
 
-        The whole batch of metric reads happens in one pass with the loop
-        invariants hoisted: constant-time membership via the identity set,
-        one ``when`` computation per pair, no per-instance attribute
-        re-lookup.  Sampling runs once per process per interval for every
-        enabled pair, so this is the tool-overhead hot path the paper's
-        cost model is about."""
+        One proc-major pass over the cached plan: each live process's bound
+        instances are read back to back, with one ``when`` computation per
+        pair.  Every (pair, pid) owns its own FoldingHistogram and gets
+        exactly one delta per pass, so the read order does not reach the
+        histogram bytes.  Sampling runs once per process per interval for
+        every enabled pair, so this is the tool-overhead hot path the
+        paper's cost model is about."""
         if record_at is None:
             record_at = now
         observe = self.frontend.cost_tracker.observe
         for proc in self._live:
             if not proc.exited:
                 observe(proc, now)
-        if self.batched_sampling:
-            # proc-major: each process's bound instances read back to back
-            # from the cached plan.  Reordering the reads is histogram-safe:
-            # every (pair, pid) owns its own FoldingHistogram and gets
-            # exactly one delta per pass, so the bytes match the pair-major
-            # scan bin for bin.
-            plan = self._sample_plan
-            if plan is None:
-                plan = self._sample_plan = self._build_sample_plan()
-            whens: dict[int, float] = {}
-            for proc, entries in plan:
-                pid = proc.pid
-                for data, instance in entries:
-                    when = whens.get(id(data))
-                    if when is None:
-                        enabled_at = data.enabled_at
-                        when = record_at if record_at > enabled_at else enabled_at
-                        whens[id(data)] = when
-                    delta = instance.sample_delta()
-                    if delta:
-                        data.record(pid, when, delta)
-        else:
-            proc_set = self._live_set
-            for data in self.frontend.enabled.values():
-                if not data.active:
-                    continue
-                instances = data.instances
-                if not instances:
-                    continue
-                enabled_at = data.enabled_at
-                when = record_at if record_at > enabled_at else enabled_at
-                record = data.record
-                for instance in instances:
-                    proc = instance.proc
-                    if id(proc) not in proc_set:
-                        continue
-                    delta = instance.sample_delta()
-                    if delta:
-                        record(proc.pid, when, delta)
+        plan = self._sample_plan
+        if plan is None:
+            plan = self._sample_plan = self._build_sample_plan()
+        whens: dict[int, float] = {}
+        for proc, entries in plan:
+            pid = proc.pid
+            for data, instance in entries:
+                when = whens.get(id(data))
+                if when is None:
+                    enabled_at = data.enabled_at
+                    when = record_at if record_at > enabled_at else enabled_at
+                    whens[id(data)] = when
+                delta = instance.sample_delta()
+                if delta:
+                    data.record(pid, when, delta)
         if self._exited_pending:
             # this pass read the final deltas of freshly-exited procs
             # (recorded at the same tick the always-scan used to record

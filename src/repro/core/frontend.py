@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional
 from .costmodel import DEFAULT_COST_LIMIT, CostTracker
 from .histogram import FoldingHistogram
 from .mdl import MdlLibrary, MetricInstance
-from .metrics import NATIVE_METRICS, SYSTEM_TIME_METRIC
+from .metrics import NATIVE_METRICS
 from .resources import Focus, Resource, ResourceHierarchy
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -176,7 +176,6 @@ class Frontend:
         *,
         num_bins: int = 1000,
         bin_width: float = 0.2,
-        extended_native: bool = False,
     ) -> None:
         from .metrics import build_library
 
@@ -188,9 +187,6 @@ class Frontend:
         self.enabled: dict[tuple[str, Focus], MetricFocusData] = {}
         self._seen_tags: set[tuple[int, int]] = set()
         self._window_uids: dict[int, str] = {}  # id(win) -> "N-M"
-        self._native = dict(NATIVE_METRICS)
-        if extended_native:
-            self._native.update(SYSTEM_TIME_METRIC)
         #: Paradyn-style observed instrumentation cost (see core.costmodel)
         self.cost_tracker = CostTracker(DEFAULT_COST_LIMIT)
 
@@ -287,11 +283,11 @@ class Frontend:
     # -- metric-focus management -----------------------------------------------------
 
     def is_native(self, metric_name: str) -> bool:
-        return metric_name in self._native
+        return metric_name in NATIVE_METRICS
 
     def metric_is_normalized(self, metric_name: str) -> bool:
-        if metric_name in self._native:
-            return self._native[metric_name][0] == "normalized"
+        if metric_name in NATIVE_METRICS:
+            return NATIVE_METRICS[metric_name][0] == "normalized"
         return self.library.metric(metric_name).units_type == "normalized"
 
     def enable(self, metric_name: str, focus: Focus, *, now: float) -> MetricFocusData:
@@ -341,4 +337,4 @@ class Frontend:
                         daemon.instrument_proc(data, proc)
 
     def native_sampler(self, metric_name: str) -> Callable[[Any], float]:
-        return self._native[metric_name][1]
+        return NATIVE_METRICS[metric_name][1]

@@ -80,9 +80,6 @@ class MdlLibrary:
         except KeyError:
             raise MdlCompileError(f"unknown metric {name!r}") from None
 
-    def metric_names(self) -> list[str]:
-        return sorted(self.definitions.metrics)
-
     def constraint(self, name: str) -> ast.ConstraintDef:
         try:
             return self.definitions.constraints[name]
@@ -230,9 +227,6 @@ class MetricInstance:
         delta = value - self._last_sample
         self._last_sample = value
         return delta
-
-    def sample_value(self) -> float:
-        return self.base_var.sample(self.proc)
 
     def delete(self) -> None:
         self.handle.delete()
@@ -412,7 +406,6 @@ def instantiate_metric(
                     snippet = Snippet(
                         statements,
                         label=f"{constraint_def.ident}@{fn.name}.{request.where}",
-                        owner=instance,
                     )
                     mutator.insert(handle, fn, request.where, snippet, order="prepend")
 
@@ -428,7 +421,6 @@ def instantiate_metric(
                     statements,
                     guards=snippet_guards,
                     label=f"{metric_name}@{fn.name}.{request.where}",
-                    owner=instance,
                 )
                 mutator.insert(handle, fn, request.where, snippet, order=request.order)
     return instance

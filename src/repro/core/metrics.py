@@ -32,7 +32,6 @@ __all__ = [
     "RMA_METRIC_NAMES",
     "TABLE1_ROWS",
     "build_library",
-    "native_sampler",
 ]
 
 
@@ -530,26 +529,12 @@ NATIVE_METRICS: dict[str, tuple[str, Callable]] = {
     "exec_time": ("normalized", lambda proc: proc.wall_time()),
 }
 
-#: Extension (not in the Paradyn default set -- the paper's system-time
-#: PPerfMark program *fails* precisely because this metric is missing).
-SYSTEM_TIME_METRIC: dict[str, tuple[str, Callable]] = {
-    "system_time": ("normalized", lambda proc: proc.cpu_system_time()),
-}
 
-
-def native_sampler(name: str, extended: bool = False) -> tuple[str, Callable]:
-    table = dict(NATIVE_METRICS)
-    if extended:
-        table.update(SYSTEM_TIME_METRIC)
-    return table[name]
-
-
-def build_library(*, legacy_metrics: bool = False, extended_io: bool = False) -> MdlLibrary:
-    """The default metric library; flags select the ablation variants."""
+def build_library(*, legacy_metrics: bool = False) -> MdlLibrary:
+    """The default metric library; ``legacy_metrics`` selects the
+    weak-symbols ablation variant."""
     library = MdlLibrary()
     library.load(DEFAULT_MDL)
     if legacy_metrics:
         library.load(LEGACY_MDL_OVERRIDES)
-    if extended_io:
-        library.load("funcset io_fns = { read, write, readv, writev };")
     return library

@@ -139,14 +139,6 @@ class ResourceHierarchy:
         except ResourceError:
             return False
 
-    def ensure(self, path: str, obj: Any = None) -> Resource:
-        node = self.root
-        parts = [p for p in path.strip("/").split("/") if p]
-        for i, part in enumerate(parts):
-            last = i == len(parts) - 1
-            node = node.ensure_child(part, obj=obj if last else None)
-        return node
-
     # -- category roots -------------------------------------------------------------
 
     @property
@@ -219,12 +211,10 @@ class ResourceHierarchy:
 
     # -- rendering (the "Where Axis" display) -----------------------------------------
 
-    def render(self, *, show_retired: bool = True) -> str:
+    def render(self) -> str:
         lines: list[str] = []
 
         def visit(node: Resource, indent: int) -> None:
-            if node.retired and not show_retired:
-                return
             suffix = ""
             if node.display_name:
                 suffix = f" [{node.display_name}]"

@@ -51,8 +51,6 @@ class Paradyn:
         num_bins: int = 1000,
         snippet_cost: float = 2.5e-7,
         legacy_metrics: bool = False,
-        extended_io: bool = False,
-        extended_native: bool = False,
         spawn_method: str = "intercept",
         pc_thresholds: Optional[dict[str, float]] = None,
         pc_experiment_window: float = 2.0,
@@ -62,10 +60,9 @@ class Paradyn:
         self.config = config or PclConfig()
         bin_width = self.config.tunable("samplingInterval", bin_width)
         self.frontend = Frontend(
-            build_library(legacy_metrics=legacy_metrics, extended_io=extended_io),
+            build_library(legacy_metrics=legacy_metrics),
             num_bins=num_bins,
             bin_width=bin_width,
-            extended_native=extended_native,
         )
         if self.config.mdl is not None:
             self.frontend.library.definitions.merge(self.config.mdl)

@@ -51,8 +51,6 @@ class Mutator:
 
     def __init__(self, proc: SimProcess) -> None:
         self.proc = proc
-        if not hasattr(proc, "instr_builtins"):
-            proc.instr_builtins = {}  # type: ignore[attr-defined]
 
     # -- variables -------------------------------------------------------------
 
@@ -78,7 +76,7 @@ class Mutator:
 
     def register_builtin(self, name: str, fn: Callable) -> None:
         """Expose an instrumentation runtime call (e.g. MPI_Type_size)."""
-        self.proc.instr_builtins[name] = fn  # type: ignore[attr-defined]
+        self.proc.instr_builtins[name] = fn
 
     # -- snippet insertion -------------------------------------------------------
 

@@ -17,8 +17,8 @@ and ``DYNINSTWindow_FindUniqueId``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.process import Frame, SimProcess
@@ -96,13 +96,16 @@ class CounterVar(InstrVar):
 
 
 class _TimerVar(InstrVar):
-    """Shared start/stop logic for wall and process timers.
+    """Shared state and sampling for wall and process timers.
 
     Timers nest (Paradyn semantics): ``start`` while running increments a
     depth count; only the matching outermost ``stop`` accrues time.  A
     ``stop`` with no matching ``start`` is a no-op -- this happens routinely
     when instrumentation is inserted while the mutatee is already inside the
-    instrumented function, so it must be tolerated.
+    instrumented function, so it must be tolerated.  Each subclass defines
+    ``start``/``stop`` with its clock read inlined: they run once per
+    instrumented call for every active timer metric, and a ``_clock``
+    double dispatch is measurable there.
     """
 
     __slots__ = ("accumulated", "_depth", "_started_at")
@@ -116,18 +119,6 @@ class _TimerVar(InstrVar):
     def _clock(self, proc: "SimProcess") -> float:
         raise NotImplementedError
 
-    def start(self, proc: "SimProcess") -> None:
-        if self._depth == 0:
-            self._started_at = self._clock(proc)
-        self._depth += 1
-
-    def stop(self, proc: "SimProcess") -> None:
-        if self._depth == 0:
-            return  # inserted mid-flight; tolerate the unmatched stop
-        self._depth -= 1
-        if self._depth == 0:
-            self.accumulated += self._clock(proc) - self._started_at
-
     @property
     def running(self) -> bool:
         return self._depth > 0
@@ -140,12 +131,7 @@ class _TimerVar(InstrVar):
 
 
 class WallTimerVar(_TimerVar):
-    """Wall-clock timer (Paradyn ``walltimer``).
-
-    ``start``/``stop`` are overridden with the clock read inlined: timer
-    starts and stops run once per instrumented call for every active timer
-    metric, and the ``_clock`` double dispatch is measurable there.
-    """
+    """Wall-clock timer (Paradyn ``walltimer``)."""
 
     __slots__ = ()
 
@@ -159,7 +145,7 @@ class WallTimerVar(_TimerVar):
 
     def stop(self, proc: "SimProcess") -> None:
         if self._depth == 0:
-            return
+            return  # inserted mid-flight; tolerate the unmatched stop
         self._depth -= 1
         if self._depth == 0:
             self.accumulated += proc.kernel.now - self._started_at
@@ -195,16 +181,10 @@ class ProcTimerVar(_TimerVar):
 class Expr:
     """Base class for snippet expressions."""
 
-    def evaluate(self, ctx: "ExecContext") -> Any:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Const(Expr):
     value: Any
-
-    def evaluate(self, ctx: "ExecContext") -> Any:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -213,24 +193,10 @@ class Arg(Expr):
 
     index: int
 
-    def evaluate(self, ctx: "ExecContext") -> Any:
-        args = ctx.frame.args
-        if self.index >= len(args):
-            raise InstrumentationError(
-                f"$arg[{self.index}] out of range for {ctx.frame.name} "
-                f"(got {len(args)} args)"
-            )
-        return args[self.index]
-
 
 @dataclass(frozen=True)
 class ReturnValue(Expr):
     """``$return`` -- only meaningful at a return point."""
-
-    def evaluate(self, ctx: "ExecContext") -> Any:
-        if ctx.at_entry:
-            raise InstrumentationError("$return read at an entry point")
-        return ctx.frame.return_value
 
 
 @dataclass(frozen=True)
@@ -239,27 +205,18 @@ class VarValue(Expr):
 
     var: InstrVar
 
-    def evaluate(self, ctx: "ExecContext") -> Any:
-        return self.var.sample(ctx.proc)
-
 
 @dataclass(frozen=True)
 class BuiltinCall(Expr):
     """Call into the instrumentation runtime (``MPI_Type_size`` etc.).
 
     Builtins are looked up in the process's instrumentation environment
-    (installed by the tool daemon) as ``callable(proc, frame, *values)``.
+    (``SimProcess.instr_builtins``, filled by the tool daemon) as
+    ``callable(proc, frame, *values)``.
     """
 
     name: str
     args: tuple[Expr, ...] = ()
-
-    def evaluate(self, ctx: "ExecContext") -> Any:
-        fn = ctx.builtins.get(self.name)
-        if fn is None:
-            raise InstrumentationError(f"unknown instrumentation builtin {self.name!r}")
-        values = [a.evaluate(ctx) for a in self.args]
-        return fn(ctx.proc, ctx.frame, *values)
 
 
 _BINOPS: dict[str, Callable[[Any, Any], Any]] = {
@@ -288,9 +245,6 @@ class BinOp(Expr):
         if self.op not in _BINOPS:
             raise InstrumentationError(f"unsupported operator {self.op!r}")
 
-    def evaluate(self, ctx: "ExecContext") -> Any:
-        return _BINOPS[self.op](self.left.evaluate(ctx), self.right.evaluate(ctx))
-
 
 # ---------------------------------------------------------------------------
 # Statements
@@ -299,8 +253,7 @@ class BinOp(Expr):
 
 @dataclass(frozen=True)
 class Stmt:
-    def execute(self, ctx: "ExecContext") -> None:
-        raise NotImplementedError
+    """Base class for snippet statements."""
 
 
 @dataclass(frozen=True)
@@ -310,34 +263,21 @@ class AddCounter(Stmt):
     var: CounterVar
     amount: Expr = Const(1)
 
-    def execute(self, ctx: "ExecContext") -> None:
-        value = self.amount.evaluate(ctx)
-        self.var.add(float(value))
-
 
 @dataclass(frozen=True)
 class SetCounter(Stmt):
     var: CounterVar
     value: Expr
 
-    def execute(self, ctx: "ExecContext") -> None:
-        self.var.set(float(self.value.evaluate(ctx)))
-
 
 @dataclass(frozen=True)
 class StartTimer(Stmt):
     var: _TimerVar
 
-    def execute(self, ctx: "ExecContext") -> None:
-        self.var.start(ctx.proc)
-
 
 @dataclass(frozen=True)
 class StopTimer(Stmt):
     var: _TimerVar
-
-    def execute(self, ctx: "ExecContext") -> None:
-        self.var.stop(ctx.proc)
 
 
 @dataclass(frozen=True)
@@ -346,55 +286,31 @@ class ExprStmt(Stmt):
 
     expr: Expr
 
-    def execute(self, ctx: "ExecContext") -> None:
-        self.expr.evaluate(ctx)
-
 
 @dataclass(frozen=True)
 class If(Stmt):
     condition: Expr
     body: tuple[Stmt, ...]
 
-    def execute(self, ctx: "ExecContext") -> None:
-        if self.condition.evaluate(ctx):
-            for stmt in self.body:
-                stmt.execute(ctx)
-
 
 @dataclass(frozen=True)
 class Block(Stmt):
     body: tuple[Stmt, ...]
 
-    def execute(self, ctx: "ExecContext") -> None:
-        for stmt in self.body:
-            stmt.execute(ctx)
-
 
 # ---------------------------------------------------------------------------
-# Execution
+# Compilation
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class ExecContext:
-    proc: "SimProcess"
-    frame: "Frame"
-    at_entry: bool
-    builtins: dict[str, Callable]
-
-
-# -- snippet compilation ------------------------------------------------------
 #
-# The IR trees above are the *definition* format; executing them by tree
-# walking costs a dynamic dispatch plus an ExecContext allocation per node
-# visit, and snippets run millions of times per simulated program.  Each
-# Snippet therefore compiles its tree once, at construction, into nested
-# closures with the signature ``op(proc, frame, at_entry)``; variables,
-# constants and operator functions are captured in cell variables, so the
-# hot path is plain closure calls with no allocation and no isinstance
-# checks.  Unknown Stmt/Expr subclasses (the IR is extensible) fall back to
-# the tree-walking ``execute``/``evaluate`` protocol, which remains the
-# semantic definition.
+# The IR trees above are the format the MDL compiler targets; the functions
+# below define what they mean.  Each Snippet compiles its tree once, at
+# construction, into nested closures with the signature
+# ``op(proc, frame, at_entry)``; variables, constants and operator functions
+# are captured in cell variables, so the hot path -- snippets run millions
+# of times per simulated program -- is plain closure calls with no
+# allocation, no tree walking and no isinstance checks.  A node type the
+# compiler does not know is rejected with InstrumentationError when the
+# snippet is built, before it can be inserted.
 
 
 def _compile_expr(expr: Expr) -> Callable[["SimProcess", "Frame", bool], Any]:
@@ -429,7 +345,7 @@ def _compile_expr(expr: Expr) -> Callable[["SimProcess", "Frame", bool], Any]:
         name = expr.name
         arg_ops = tuple(_compile_expr(a) for a in expr.args)
         def run_builtin(proc: "SimProcess", frame: "Frame", at_entry: bool) -> Any:
-            fn = getattr(proc, "instr_builtins", _EMPTY_BUILTINS).get(name)
+            fn = proc.instr_builtins.get(name)
             if fn is None:
                 raise InstrumentationError(f"unknown instrumentation builtin {name!r}")
             return fn(proc, frame, *[op(proc, frame, at_entry) for op in arg_ops])
@@ -441,17 +357,22 @@ def _compile_expr(expr: Expr) -> Callable[["SimProcess", "Frame", bool], Any]:
         return lambda proc, frame, at_entry: fn(
             left(proc, frame, at_entry), right(proc, frame, at_entry)
         )
-    def run_generic(proc: "SimProcess", frame: "Frame", at_entry: bool) -> Any:
-        return expr.evaluate(
-            ExecContext(proc, frame, at_entry, getattr(proc, "instr_builtins", _EMPTY_BUILTINS))
+    raise InstrumentationError(f"unknown snippet expression {kind.__name__}")
+
+
+def _counter(stmt: Stmt) -> CounterVar:
+    var = stmt.var
+    if not isinstance(var, CounterVar):
+        raise InstrumentationError(
+            f"{type(stmt).__name__} needs a counter, got {type(var).__name__}"
         )
-    return run_generic
+    return var
 
 
 def _compile_stmt(stmt: Stmt) -> Callable[["SimProcess", "Frame", bool], Any]:
     kind = type(stmt)
-    if kind is AddCounter and type(stmt.var) is CounterVar:
-        var = stmt.var
+    if kind is AddCounter:
+        var = _counter(stmt)
         if type(stmt.amount) is Const:
             amount = float(stmt.amount.value)
             def run_add_const(proc: "SimProcess", frame: "Frame", at_entry: bool) -> None:
@@ -461,8 +382,8 @@ def _compile_stmt(stmt: Stmt) -> Callable[["SimProcess", "Frame", bool], Any]:
         def run_add(proc: "SimProcess", frame: "Frame", at_entry: bool) -> None:
             var.value += float(amount_op(proc, frame, at_entry))
         return run_add
-    if kind is SetCounter and type(stmt.var) is CounterVar:
-        var = stmt.var
+    if kind is SetCounter:
+        var = _counter(stmt)
         value_op = _compile_expr(stmt.value)
         def run_set(proc: "SimProcess", frame: "Frame", at_entry: bool) -> None:
             var.value = float(value_op(proc, frame, at_entry))
@@ -502,11 +423,7 @@ def _compile_stmt(stmt: Stmt) -> Callable[["SimProcess", "Frame", bool], Any]:
             for op in body_ops:
                 op(proc, frame, at_entry)
         return run_block
-    def run_generic(proc: "SimProcess", frame: "Frame", at_entry: bool) -> None:
-        stmt.execute(
-            ExecContext(proc, frame, at_entry, getattr(proc, "instr_builtins", _EMPTY_BUILTINS))
-        )
-    return run_generic
+    raise InstrumentationError(f"unknown snippet statement {kind.__name__}")
 
 
 def _compile_snippet(
@@ -552,10 +469,12 @@ class Snippet:
 
     Construction compiles the statement tree into ``_run``, a closure
     ``(proc, frame, at_entry) -> None`` that the instrumented-call fast path
-    in :meth:`repro.sim.process.SimProcess._run_snippets` invokes directly.
+    in :meth:`repro.sim.process.SimProcess._run_snippets` invokes directly,
+    and raises :class:`InstrumentationError` for a node type it does not
+    know.
     """
 
-    __slots__ = ("statements", "guards", "label", "owner", "_run")
+    __slots__ = ("statements", "guards", "label", "_run")
 
     def __init__(
         self,
@@ -563,12 +482,10 @@ class Snippet:
         *,
         guards: Sequence[CounterVar] = (),
         label: str = "",
-        owner: Any = None,
     ) -> None:
         self.statements = tuple(statements)
         self.guards = tuple(guards)
         self.label = label
-        self.owner = owner
         self._run = _compile_snippet(self.guards, self.statements)
 
     def execute(self, proc: "SimProcess", frame: "Frame", *, at_entry: bool) -> None:
@@ -576,6 +493,3 @@ class Snippet:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Snippet {self.label or hex(id(self))} stmts={len(self.statements)}>"
-
-
-_EMPTY_BUILTINS: dict[str, Callable] = {}

@@ -390,8 +390,14 @@ def _cmd_status(args: argparse.Namespace) -> int:
         )
     events_path = getattr(cache, "events_path", None)
     if events_path is not None:
-        tail = list(read_events(events_path))[-args.events:]
-        for record in tail:
+        try:
+            records = list(read_events(events_path))
+        except ValueError as exc:
+            print(f"fleet status: event log {events_path} is corrupt or "
+                  f"truncated mid-record ({exc}); re-run the sweep or repair "
+                  "the log", file=sys.stderr)
+            return 1
+        for record in records[-args.events:]:
             extras = {k: v for k, v in record.items() if k not in ("t", "event")}
             print(f"  {record['t']:.3f} {record['event']:<12} "
                   + " ".join(f"{k}={v}" for k, v in sorted(extras.items())))

@@ -261,12 +261,6 @@ class Window:
         for observer in list(self.observers):
             observer(self, origin, rank, op)
 
-    def lock_holder(self, target_rank: int) -> Optional[int]:
-        """Comm rank currently holding ``target_rank``'s window lock, if any
-        (the first of them under a shared lock)."""
-        holders = self._lock_holders.get(target_rank) or {}
-        return next(iter(holders), None)
-
     def lock_holders(self, target_rank: int) -> tuple[int, ...]:
         """Every comm rank currently holding ``target_rank``'s window lock."""
         return tuple(self._lock_holders.get(target_rank) or ())

@@ -52,8 +52,6 @@ class Endpoint:
         self.parent_intercomm: Optional[Communicator] = None
         self.initialized = False
         self.finalized = False
-        # per-communicator sequence numbers for internal collective tags
-        self.coll_tag_seq: dict[int, int] = {}
         # generalized-active-target bookkeeping: window -> per-target records
         self.start_records: dict[int, dict[int, Any]] = {}
         self.post_record: dict[int, Any] = {}
@@ -61,11 +59,6 @@ class Endpoint:
     @property
     def kernel(self):
         return self.proc.kernel
-
-    def next_coll_seq(self, cid: int) -> int:
-        seq = self.coll_tag_seq.get(cid, 0)
-        self.coll_tag_seq[cid] = seq + 1
-        return seq
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Endpoint world_rank={self.world_rank} pid={self.proc.pid}>"

@@ -74,8 +74,3 @@ class DiffuseProcedure(PPerfProgram):
                 yield from mpi.call(f"irrelevantProcedure{i}")
             yield from mpi.barrier()
         yield from mpi.finalize()
-
-    def expected_cpu_share(self, nprocs: int) -> float:
-        """Per-process bottleneckProcedure CPU fraction (paper: ~0.25 at 4
-        processes, ~0.5 at 2)."""
-        return 1.0 / nprocs

@@ -86,9 +86,6 @@ class PrestaRma(PPerfProgram):
             return 0
         return self.ops_per_epoch * self.epochs
 
-    def expected_bytes(self, pattern: str, rank: int) -> int:
-        return self.expected_ops(pattern, rank) * self.op_bytes
-
     def _run_pattern(self, mpi, win, pattern: str, data, scratch) -> Generator:
         rank = mpi.rank
         active = rank == 0 if pattern.startswith("uni") else True

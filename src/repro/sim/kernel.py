@@ -182,10 +182,6 @@ class Task:
             self.kernel.schedule(effect.dt, self._step, None)
         elif cls is WaitEvent:
             effect.event.add_waiter(self)
-        elif isinstance(effect, Delay):
-            self.kernel.schedule(effect.dt, self._step, None)
-        elif isinstance(effect, WaitEvent):
-            effect.event.add_waiter(self)
         else:
             raise SimulationError(
                 f"task {self.name!r} yielded unsupported effect {effect!r}; "

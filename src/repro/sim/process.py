@@ -128,6 +128,9 @@ class SimProcess:
         self._resolve_cache: dict[str, "FunctionDef"] = {}
         self._resolve_version = -1
         self.instr_vars: dict[int, Any] = {}
+        #: instrumentation-runtime calls snippets reach through
+        #: ``BuiltinCall`` (``MPI_Type_size`` etc.), registered by the mutator
+        self.instr_builtins: dict[str, Callable] = {}
         # entry/exit trace hooks: callable(proc, frame, event) where event is
         # "entry" or "exit"; used by MPE-style tracing and gprof.
         self.trace_hooks: list[Callable[["SimProcess", Frame, str], None]] = []
@@ -139,15 +142,6 @@ class SimProcess:
         self.snippets_executed = 0
 
     # -- CPU clocks ----------------------------------------------------------
-
-    def _accrue(self) -> None:
-        now = self.kernel.now
-        state = self._state
-        if state is ProcState.USER:
-            self._cpu_user += now - self._state_since
-        elif state is ProcState.SYSTEM:
-            self._cpu_system += now - self._state_since
-        self._state_since = now
 
     def _set_state(self, state: ProcState) -> None:
         # accrual inlined: this runs twice per compute/syscall, which in
@@ -305,9 +299,6 @@ class SimProcess:
         self.snippets_executed += count
         if cost > 0.0:
             yield from self.compute(cost)
-
-    def current_function(self) -> Optional[str]:
-        return self.stack[-1].name if self.stack else None
 
     def call_path(self) -> list[str]:
         return [frame.name for frame in self.stack]

@@ -1,5 +1,7 @@
 """Tests for the instrumentation substrate: images, snippets, mutator."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from repro.dyninst import (
     BuiltinCall,
     Const,
     CounterVar,
+    Expr,
     ExprStmt,
     If,
     Image,
@@ -22,6 +25,7 @@ from repro.dyninst import (
     SetCounter,
     Snippet,
     StartTimer,
+    Stmt,
     StopTimer,
     VarValue,
     WallTimerVar,
@@ -242,6 +246,26 @@ class TestSnippets:
     def test_bad_operator_rejected(self):
         with pytest.raises(InstrumentationError):
             BinOp("%", Const(1), Const(2))
+
+    def test_unknown_nodes_rejected_at_construction(self):
+        @dataclass(frozen=True)
+        class Mystery(Expr):
+            pass
+
+        @dataclass(frozen=True)
+        class MysteryStmt(Stmt):
+            pass
+
+        c = CounterVar("c")
+        for statements in (
+            [MysteryStmt()],
+            [ExprStmt(Mystery())],
+            [AddCounter(c, BinOp("+", Const(1), Mystery()))],
+            [If(Const(True), (MysteryStmt(),))],
+            [AddCounter(WallTimerVar("t"))],  # a counter statement on a timer
+        ):
+            with pytest.raises(InstrumentationError):
+                Snippet(statements)
 
 
 class TestMutator:

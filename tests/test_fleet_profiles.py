@@ -13,6 +13,7 @@ the artifacts.
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -326,3 +327,41 @@ def test_order_seed_shuffles_deterministically_without_changing_results():
         )
     assert len(orders) > 1  # the shuffle actually reorders launches
     assert all(a == artifacts[0] for a in artifacts[1:])  # bytes never move
+
+
+# ------------------------------------------------- packing-efficiency floor
+
+PACKING_WALLS = [2.0, 1.5, 1.2, 0.9, 0.7, 0.6, 0.5, 0.4, 0.4, 0.3, 0.3, 0.2]
+
+
+def sleep_executor(spec: RunSpec) -> dict:
+    time.sleep(spec.program_params()["wall"])
+    return {"schema": 1, "digest": spec.digest,
+            "spec": spec.to_dict(), "status": "ok",
+            "error": None, "result": {}}
+
+
+@pytest.mark.slow
+def test_packing_within_lpt_bound():
+    """Known-length sleep jobs, submitted shortest-first (adversarial for
+    FIFO) and scheduled LPT from a pre-seeded profile store, finish within
+    1.15x the LPT lower bound max(longest_job, total/workers)."""
+    specs = [RunSpec.make(f"pack{i:02d}", params={"wall": wall})
+             for i, wall in enumerate(PACKING_WALLS)]
+    profiles = ProfileStore()
+    for spec, wall in zip(specs, PACKING_WALLS):
+        profiles.observe(spec, wall)
+    pool = FleetScheduler(jobs=4, retries=0, executor=sleep_executor,
+                          profiles=profiles, events=EventLog())
+    for spec in sorted(specs, key=lambda s: s.program_params()["wall"]):
+        pool.submit(spec)
+    t0 = time.monotonic()
+    results = pool.run()
+    makespan = time.monotonic() - t0
+    assert all(a["status"] == "ok" for a in results.values())
+    bound = max(max(PACKING_WALLS), sum(PACKING_WALLS) / pool.jobs)
+    ratio = makespan / bound
+    assert ratio <= 1.15, (
+        f"packing regressed: makespan {makespan:.2f}s is {ratio:.2f}x the "
+        f"LPT bound {bound:.2f}s on {pool.jobs} worker(s)"
+    )

@@ -598,6 +598,22 @@ def test_cli_observe_critical_path_truncated_log(tmp_path, capsys):
     assert "truncated" in err and "Traceback" not in err
 
 
+def test_cli_fleet_status_truncated_log(tmp_path, monkeypatch, capsys):
+    """``fleet status`` reports a torn event log the way ``observe
+    critical-path`` does: cache line first, then a message and exit 1."""
+    monkeypatch.chdir(tmp_path)
+    cache = ResultCache(tmp_path / "cache")
+    cache.root.mkdir()
+    cache.events_path.write_text(
+        '{"t": 0.0, "event": "pool-start", "workers": 2}\n'
+        '{"t": 0.1, "event": "started", "dig'  # torn mid-append
+    )
+    assert main(["fleet", "status", "--cache", str(cache.root)]) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("# fleet cache at ")
+    assert "corrupt or truncated" in err and "Traceback" not in err
+
+
 def test_cli_observe_critical_path_empty_file(tmp_path, capsys):
     events_path = tmp_path / "events.jsonl"
     events_path.write_text("")
