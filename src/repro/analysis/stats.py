@@ -16,30 +16,39 @@ from typing import Sequence
 
 import numpy as np
 
-try:  # scipy is available in this environment, but keep a fallback
-    from scipy import stats as _scipy_stats
-except ImportError:  # pragma: no cover
-    _scipy_stats = None
-
 __all__ = ["PairedComparison", "paired_difference", "relative_difference"]
 
+#: two-sided confidence of every interval this module reports
+CONFIDENCE = 0.95
 
-def _t_critical(df: int, confidence: float) -> float:
-    if _scipy_stats is not None:
-        return float(_scipy_stats.t.ppf(0.5 + confidence / 2.0, df))
-    # Normal approximation fallback (fine for df >= 30)
-    from math import erf, sqrt
 
-    # inverse via bisection on the standard normal CDF
-    lo, hi = 0.0, 10.0
-    target = 0.5 + confidence / 2.0
-    for _ in range(80):
+def _t_within(theta: float, df: int) -> float:
+    """P(|T| < t) for Student's t with integer ``df``, in closed form over
+    ``theta = atan(t / sqrt(df))`` (Abramowitz & Stegun 26.7.3 for odd df,
+    26.7.4 for even df)."""
+    c2 = math.cos(theta) ** 2
+    odd = df % 2
+    term = math.cos(theta) if odd else 1.0
+    series = 0.0
+    for k in range(1, (df - odd) // 2 + 1):
+        series += term
+        term *= c2 * (2 * k - 1 + odd) / (2 * k + odd)
+    if odd:
+        return 2.0 / math.pi * (theta + math.sin(theta) * series)
+    return math.sin(theta) * series
+
+
+def _t_critical(df: int) -> float:
+    """The two-sided :data:`CONFIDENCE` Student-t critical value: bisect
+    :func:`_t_within` over ``theta`` in ``[0, pi/2)``."""
+    lo, hi = 0.0, math.pi / 2.0
+    for _ in range(60):
         mid = (lo + hi) / 2.0
-        if 0.5 * (1.0 + erf(mid / sqrt(2.0))) < target:
+        if _t_within(mid, df) < CONFIDENCE:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2.0
+    return math.sqrt(df) * math.tan((lo + hi) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -53,7 +62,6 @@ class PairedComparison:
     mean_diff: float
     ci_low: float
     ci_high: float
-    confidence: float
 
     @property
     def significant(self) -> bool:
@@ -81,7 +89,6 @@ def paired_difference(
     b: Sequence[float],
     *,
     label: str = "",
-    confidence: float = 0.95,
 ) -> PairedComparison:
     """Paired-difference t confidence interval for mean(a_i - b_i)."""
     a_arr = np.asarray(a, dtype=float)
@@ -94,7 +101,7 @@ def paired_difference(
     diffs = a_arr - b_arr
     mean = float(diffs.mean())
     sd = float(diffs.std(ddof=1))
-    half = _t_critical(n - 1, confidence) * sd / math.sqrt(n) if sd > 0 else 0.0
+    half = _t_critical(n - 1) * sd / math.sqrt(n) if sd > 0 else 0.0
     return PairedComparison(
         label=label,
         n=n,
@@ -103,7 +110,6 @@ def paired_difference(
         mean_diff=mean,
         ci_low=mean - half,
         ci_high=mean + half,
-        confidence=confidence,
     )
 
 

@@ -86,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     san_p.add_argument("--quick", action="store_true",
                        help="scaled-down program parameters (CI sweeps)")
     san_p.add_argument("--jobs", type=int, default=1,
-                       help="run multi-program sweeps through the fleet "
-                       "worker pool with this many processes")
+                       help="fleet worker processes to run the programs on")
     san_p.add_argument("--no-cache", action="store_true",
                        help="bypass the fleet result cache")
 
@@ -176,13 +175,7 @@ def _cmd_mpirun(args: argparse.Namespace) -> int:
 
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from .analysis.report import render_sanitizer_report, render_sanitizer_summary
-    from .fleet import (
-        FleetScheduler,
-        RunSpec,
-        default_cache,
-        report_from_artifact,
-        run_cached,
-    )
+    from .fleet import FleetScheduler, RunSpec, default_cache, report_from_artifact
     from .pperfmark.defects import DEFECT_REGISTRY
     from .sanitizer import CLEAN_PROGRAMS
 
@@ -209,27 +202,15 @@ def _cmd_sanitize(args: argparse.Namespace) -> int:
         )
         for name in names
     ]
-    cache = None if args.no_cache else default_cache()
+    scheduler = FleetScheduler(
+        jobs=args.jobs, cache=None if args.no_cache else default_cache()
+    )
+    for spec in specs:
+        scheduler.submit(spec)
+    artifacts = scheduler.run()
     try:
-        if args.jobs > 1 and len(specs) > 1:
-            scheduler = FleetScheduler(jobs=args.jobs, cache=cache)
-            for spec in specs:
-                scheduler.submit(spec)
-            artifacts = scheduler.run()
-            reports = [report_from_artifact(artifacts[s.digest]) for s in specs]
-        else:
-            reports = []
-            for spec in specs:
-                if cache is not None:
-                    reports.append(report_from_artifact(run_cached(spec, cache)))
-                else:
-                    from .fleet import execute_spec
-
-                    reports.append(report_from_artifact(execute_spec(spec)))
-    except KeyError as exc:
-        print(f"sanitize: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
+        reports = [report_from_artifact(artifacts[s.digest]) for s in specs]
+    except RuntimeError as exc:  # a failed job, e.g. an unknown program
         print(f"sanitize: {exc}", file=sys.stderr)
         return 2
     for report in reports:

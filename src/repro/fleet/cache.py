@@ -49,6 +49,10 @@ __all__ = [
     "content_sha256",
 ]
 
+#: ``gc`` sweeps only temp files older than this many seconds, so it never
+#: removes a concurrent put's in-flight file
+GC_TMP_MAX_AGE = 3600.0
+
 
 def default_cache_root() -> Union[Path, str]:
     """The configured store location: a local path, or an ``http(s)://``
@@ -273,10 +277,10 @@ class ResultCache(ArtifactStore):
             shutil.rmtree(self.events_path, ignore_errors=True)
         return removed
 
-    def gc(self, live: Iterable[str], *, tmp_max_age: float = 3600.0) -> int:
+    def gc(self, live: Iterable[str]) -> int:
         """Remove objects whose digest is not in ``live`` (code edits orphan
         old artifacts; this reclaims them) plus stranded temp files older
-        than ``tmp_max_age``.  Returns count removed."""
+        than :data:`GC_TMP_MAX_AGE`.  Returns count removed."""
         keep = set(live)
         removed = 0
         for path in list(self.objects_dir.glob("*/*.json")) if self.objects_dir.is_dir() else []:
@@ -288,7 +292,7 @@ class ResultCache(ArtifactStore):
                 # a directory masquerading as an object; reclaim it too
                 shutil.rmtree(path, ignore_errors=True)
             removed += 1
-        removed += self.sweep_tmp(max_age=tmp_max_age)
+        removed += self.sweep_tmp(max_age=GC_TMP_MAX_AGE)
         self.stats.evicted += removed
         return removed
 

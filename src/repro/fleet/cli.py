@@ -148,7 +148,7 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
     status = fsub.add_parser("status", help="cache and last-sweep statistics")
     status.add_argument("--cache", default=None, metavar="DIR")
     status.add_argument("--events", type=int, default=8, metavar="N",
-                        help="show the last N logged events")
+                        help="show the last N logged events (0: none)")
 
     clean = fsub.add_parser("clean", help="drop cached artifacts")
     clean.add_argument("--cache", default=None, metavar="DIR")
@@ -279,25 +279,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"#   COLLECT FAILED {bench}: {error}")
     for bench, error in render_info["failures"]:
         print(f"#   RENDER FAILED {bench}: {error}")
-    scheduling = summary.get("scheduling")
-    if scheduling:
-        parts = []
-        packing = scheduling.get("packing")
-        if packing:
-            parts.append(f"packing {packing['efficiency']:.0%} of LPT bound "
-                         f"(makespan {packing['makespan']}s vs "
-                         f">={packing['lower_bound']}s)")
-        prediction = scheduling.get("prediction")
-        if prediction:
-            parts.append(f"profile error {prediction['mean_abs_error']:.0%} "
-                         f"over {prediction['jobs']} job(s)")
-        admission = scheduling.get("render_admission")
-        if admission and admission.get("lead") is not None:
-            parts.append(f"render admission lead {admission['lead']}s "
-                         f"({admission['early_admissions']} early)")
-        if parts:
-            print("# scheduling: " + "; ".join(parts))
-    cpath = summary.get("critical_path") or {}
+    # run_sweep lifts the scheduling block out of the critical path; the
+    # renderer prints both
+    cpath = dict(summary.get("critical_path") or {},
+                 scheduling=summary.get("scheduling"))
     if cpath.get("chain"):
         for line in render_critical_path(cpath).splitlines():
             print(f"# {line}")
@@ -374,6 +359,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_status(args: argparse.Namespace) -> int:
+    if args.events < 0:
+        print(f"fleet status: --events must be >= 0, got {args.events}",
+              file=sys.stderr)
+        return 2
     cache = _resolve_store(args.cache)
     info = cache.describe()
     print(f"# fleet cache at {info['root']}: {info['objects']} artifact(s), "
@@ -397,7 +386,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
                   f"truncated mid-record ({exc}); re-run the sweep or repair "
                   "the log", file=sys.stderr)
             return 1
-        for record in records[-args.events:]:
+        for record in records[-args.events:] if args.events else ():
             extras = {k: v for k, v in record.items() if k not in ("t", "event")}
             print(f"  {record['t']:.3f} {record['event']:<12} "
                   + " ".join(f"{k}={v}" for k, v in sorted(extras.items())))

@@ -5,7 +5,7 @@ queue behind bookkeeping endpoints, with the lease/heartbeat state machine
 that makes cross-machine work-stealing safe:
 
     =========================  ================================================
-    ``GET  /health``           liveness: worker/queue/terminal counts
+    ``GET  /health``           liveness: worker/queue/terminal counts, feed length
     ``GET  /status``           full counters (per-worker jobs, steals, retries)
     ``POST /jobs``             submit a batch of specs (the sweep driver)
     ``POST /lease``            pull one job (workers); registers the worker
@@ -117,8 +117,6 @@ class FleetCoordinator(BackgroundServer):
         backoff: float = 0.25,
         max_steals: Optional[int] = None,
         store_url: Optional[str] = None,
-        job_timeout: Optional[float] = None,
-        verify_code_version: bool = True,
         token: Optional[str] = None,
         clock=time.monotonic,
     ) -> None:
@@ -127,8 +125,8 @@ class FleetCoordinator(BackgroundServer):
         self._graph = JobGraph(retries=retries, backoff=backoff)
         self.max_steals = self._graph.retries + 2 if max_steals is None else max_steals
         self.store_url = store_url
-        self.job_timeout = job_timeout
-        self.verify_code_version = verify_code_version
+        #: per-job wall limit workers enforce; set by each ``/jobs`` batch
+        self.job_timeout: Optional[float] = None
         self._clock = clock
         self._lock = threading.Lock()
         self._jobs: dict[str, _Job] = {}
@@ -219,11 +217,7 @@ class FleetCoordinator(BackgroundServer):
         now = self._clock()
         with self._lock:
             self._expire_leases(now)
-            if (
-                self.verify_code_version
-                and worker_version is not None
-                and worker_version != code_version()
-            ):
+            if worker_version is not None and worker_version != code_version():
                 return {
                     "error": "code-version-mismatch",
                     "coordinator": code_version(),
@@ -410,6 +404,8 @@ class FleetCoordinator(BackgroundServer):
                 "pending": states[PENDING],
                 "leased": states[RUNNING],
                 "done": states[DONE],
+                # where a new sweep's event-feed cursor starts
+                "feed": len(self._events),
             }
 
     def status(self) -> dict:

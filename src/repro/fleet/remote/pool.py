@@ -258,8 +258,8 @@ class RemotePool:
                 })
         cursors: dict[str, int] = {}
         for i, endpoint in enumerate(self.endpoints):
-            feed = self._get(endpoint, "/events?cursor=0")
-            cursors[endpoint.address] = feed.get("cursor", 0)
+            health = self._get(endpoint, "/health")
+            cursors[endpoint.address] = health.get("feed", 0)
             payload = {
                 "jobs": batches[i],
                 "retries": self.retries,

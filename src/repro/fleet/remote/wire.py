@@ -38,6 +38,9 @@ __all__ = [
 #: anything larger is a malfunction, not a payload
 MAX_BODY = 256 * 1024 * 1024
 
+#: base of the linear delay between connection retries, in seconds
+RETRY_DELAY = 0.2
+
 #: shared-secret auth: every fleet service checks this header when started
 #: with a token; every client attaches it (``--token`` flag or environment)
 TOKEN_HEADER = "X-Repro-Token"
@@ -93,7 +96,6 @@ def request(
     *,
     timeout: float = 30.0,
     retries: int = 0,
-    retry_delay: float = 0.2,
 ) -> tuple[int, dict, bytes]:
     """One HTTP round trip; returns ``(status, headers, body)``.
 
@@ -124,7 +126,7 @@ def request(
         except (ConnectionError, socket.timeout, OSError) as exc:
             last = exc
             if attempt < retries:
-                time.sleep(retry_delay * (attempt + 1))
+                time.sleep(RETRY_DELAY * (attempt + 1))
         finally:
             conn.close()
     raise WireError(

@@ -53,6 +53,10 @@ __all__ = ["FleetWorker"]
 #: bloat the /result payload past the wire's body limit
 TRACE_TAIL_LIMIT = 2048
 
+#: connection retries on the lease: workers race the coordinator's socket
+#: bind at startup (the two-terminal quickstart)
+CONNECT_RETRIES = 10
+
 
 def _default_log(message: str) -> None:  # pragma: no cover - CLI plumbing
     print(message, file=sys.stderr, flush=True)
@@ -78,7 +82,6 @@ class FleetWorker:
         executor: Callable[[RunSpec], dict] = execute_spec,
         poll_interval: float = 0.2,
         max_idle: Optional[float] = None,
-        connect_retries: int = 10,
         log: Optional[Callable[[str], None]] = None,
     ) -> None:
         self.coordinator = parse_endpoint(coordinator)
@@ -87,7 +90,6 @@ class FleetWorker:
         self.executor = executor
         self.poll_interval = poll_interval
         self.max_idle = max_idle
-        self.connect_retries = connect_retries
         self.log = log if log is not None else _default_log
         self.completed = 0
         self.store_hits = 0
@@ -103,9 +105,7 @@ class FleetWorker:
         return self._post(
             "/lease",
             {"worker": self.worker_id, "code_version": code_version()},
-            # generous retries on the lease: workers race the coordinator's
-            # socket bind at startup (the two-terminal quickstart)
-            retries=self.connect_retries,
+            retries=CONNECT_RETRIES,
         )
 
     def _heartbeat(self, lease_id: str) -> bool:

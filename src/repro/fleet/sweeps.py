@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from ..observe.critical_path import critical_path, phase_of  # mode-salt: none
-from ..observe.export import merge_events, write_chrome, write_jsonl  # mode-salt: none
+from ..observe.export import write_trace  # mode-salt: none
 from ..observe.recorder import recording  # mode-salt: none
 from .cache import ArtifactStore
 from .events import EventLog
@@ -77,9 +77,7 @@ DEFAULT_SANITIZE_IMPLS = ("lam", "mpich", "mpich2", "refmpi")
 BENCH_OUT = "BENCH_fleet.json"
 
 
-def sanitize_specs(
-    impls: Sequence[str] = DEFAULT_SANITIZE_IMPLS, *, include_defects: bool = True
-) -> list[RunSpec]:
+def sanitize_specs(impls: Sequence[str] = DEFAULT_SANITIZE_IMPLS) -> list[RunSpec]:
     """The ``repro sanitize all`` sweep (plus the defect library) as specs."""
     from ..pperfmark.defects import DEFECT_REGISTRY
     from ..pperfmark.catalog import CLEAN_PROGRAMS
@@ -89,15 +87,14 @@ def sanitize_specs(
         for impl in impls
         for name in CLEAN_PROGRAMS
     ]
-    if include_defects:
-        specs.extend(
-            RunSpec.make(
-                name,
-                mode="sanitize",
-                impl=getattr(cls, "required_impl", None) or "lam",
-            )
-            for name, cls in sorted(DEFECT_REGISTRY.items())
+    specs.extend(
+        RunSpec.make(
+            name,
+            mode="sanitize",
+            impl=getattr(cls, "required_impl", None) or "lam",
         )
+        for name, cls in sorted(DEFECT_REGISTRY.items())
+    )
     return specs
 
 
@@ -417,21 +414,7 @@ def _run_sweep(
         except OSError:  # pragma: no cover - read-only cache dir
             pass
 
-    trace_summary = None
-    if trace_dir is not None:
-        mirrors = sorted(
-            p for p in trace_dir.glob("*.jsonl") if p.name != "trace.jsonl"
-        )
-        merged = merge_events(mirrors)
-        write_jsonl(trace_dir / "trace.jsonl", merged)
-        write_chrome(trace_dir / "trace.json", merged)
-        trace_summary = {
-            "dir": str(trace_dir),
-            "events": len(merged),
-            "processes": len({e.get("pid") for e in merged}),
-            "jsonl": str(trace_dir / "trace.jsonl"),
-            "chrome": str(trace_dir / "trace.json"),
-        }
+    trace_summary = write_trace(trace_dir) if trace_dir is not None else None
 
     per_job = [
         {

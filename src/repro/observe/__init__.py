@@ -5,12 +5,13 @@ package exists to measure **us**: the fleet scheduler, its worker
 processes, the simulation kernel, and the sanitizer.  Three pieces:
 
 * :mod:`~repro.observe.recorder` -- a per-process **flight recorder**: a
-  bounded binary ring buffer of sequence-numbered structured events (span
-  begin/end, counters, instant markers), near-zero cost when disabled.
+  bounded ring of sequence-numbered structured events (span begin/end,
+  counters, instant markers), near-zero cost when disabled.
   Fleet workers run one always-on; its dump lands in the failure artifact
   whenever a job crashes, times out, or exhausts its retries.
-* :mod:`~repro.observe.export` -- merges per-process JSONL mirrors by
-  ``(wall, seq)`` and emits Chrome trace-event JSON (Perfetto-loadable).
+* :mod:`~repro.observe.export` -- owns the trace-directory layout: merges
+  per-process JSONL mirrors by ``(wall, seq)`` and emits Chrome
+  trace-event JSON (Perfetto-loadable).
 * :mod:`~repro.observe.critical_path` -- post-hoc analysis of a sweep's
   fleet event log: the blocking job chain that bounds wall time, the
   worker-idle fraction, and the speedup-vs-serial decomposition
@@ -42,10 +43,8 @@ from .recorder import (
     active,
     disable,
     enable,
-    pack_event,
     recording,
     suspended,
-    unpack_event,
 )
 
 __all__ = [
@@ -55,8 +54,6 @@ __all__ = [
     "disable",
     "recording",
     "suspended",
-    "pack_event",
-    "unpack_event",
     "merge_events",
     "read_jsonl",
     "write_jsonl",

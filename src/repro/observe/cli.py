@@ -26,17 +26,13 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 from .critical_path import critical_path, render_critical_path
-from .export import merge_events, to_chrome, write_chrome, write_jsonl
+from .export import MERGED_CHROME, merge_events, mirror_files, write_trace
 
 __all__ = ["add_observe_parser", "cmd_observe", "DEFAULT_TRACE_DIR"]
 
 #: where ``repro fleet sweep --trace`` drops per-process mirrors and where
 #: the observe commands look by default (gitignored with the reports)
 DEFAULT_TRACE_DIR = "benchmarks/reports/trace"
-
-#: mirror files are per-process; merged outputs get fixed names
-MERGED_JSONL = "trace.jsonl"
-MERGED_CHROME = "trace.json"
 
 
 def add_observe_parser(sub: argparse._SubParsersAction) -> None:
@@ -107,34 +103,23 @@ def add_observe_parser(sub: argparse._SubParsersAction) -> None:
                        help="shared secret (default: $REPRO_FLEET_TOKEN)")
 
 
-def _mirror_files(trace_dir: Path) -> list[Path]:
-    return sorted(
-        p for p in trace_dir.glob("*.jsonl") if p.name != MERGED_JSONL
-    )
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    trace_dir = Path(args.dir)
-    files = _mirror_files(trace_dir)
+    files = mirror_files(args.dir)
     if not files:
-        print(f"observe: no trace mirrors under {trace_dir} "
+        print(f"observe: no trace mirrors under {args.dir} "
               "(run `repro fleet sweep --trace` first)", file=sys.stderr)
         return 2
-    events = merge_events(files)
-    jsonl = write_jsonl(trace_dir / MERGED_JSONL, events)
-    out = Path(args.out) if args.out else trace_dir / MERGED_CHROME
-    write_chrome(out, events)
-    pids = {e.get("pid") for e in events}
-    print(f"# merged {len(events)} event(s) from {len(files)} mirror(s) "
-          f"({len(pids)} process(es))")
-    print(f"# jsonl:  {jsonl}")
-    print(f"# chrome: {out}  (load in Perfetto / chrome://tracing)")
+    trace = write_trace(args.dir, chrome=args.out)
+    print(f"# merged {trace['events']} event(s) from {len(files)} mirror(s) "
+          f"({trace['processes']} process(es))")
+    print(f"# jsonl:  {trace['jsonl']}")
+    print(f"# chrome: {trace['chrome']}  (load in Perfetto / chrome://tracing)")
     return 0
 
 
 def _cmd_summary(args: argparse.Namespace) -> int:
     trace_dir = Path(args.dir)
-    files = _mirror_files(trace_dir)
+    files = mirror_files(trace_dir)
     events = merge_events(files)
     if not events:
         print(f"observe: no events under {trace_dir}", file=sys.stderr)
@@ -163,18 +148,6 @@ def _cmd_summary(args: argparse.Namespace) -> int:
     return 0
 
 
-def _last_sweep_records(records: list[dict]) -> list[dict]:
-    """The records of the most recent sweep in an appended-forever log.
-
-    The analysis resets itself at every ``sweep-start``; older logs without
-    one are cut at their last ``pool-start``.
-    """
-    starts = [i for i, r in enumerate(records) if r.get("event") == "pool-start"]
-    if not starts or any(r.get("event") == "sweep-start" for r in records):
-        return records
-    return records[starts[-1]:]
-
-
 def _cmd_critical_path(args: argparse.Namespace) -> int:
     from ..fleet.cache import ResultCache  # mode-salt: none
     from ..fleet.events import read_events  # mode-salt: none
@@ -193,9 +166,8 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
         print(f"observe: no fleet events at {events_path} "
               "(run `repro fleet sweep` first)", file=sys.stderr)
         return 1
-    summary = critical_path(
-        _last_sweep_records(records), workers=args.workers
-    )
+    # the analysis resets at every sweep-start: this is the last sweep
+    summary = critical_path(records, workers=args.workers)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:

@@ -60,14 +60,8 @@ class IncrementalCriticalPath:
     appended-forever log tracks the most recent sweep.
     """
 
-    def __init__(
-        self,
-        *,
-        workers: Optional[int] = None,
-        tolerance: float = CHAIN_TOLERANCE,
-    ) -> None:
+    def __init__(self, *, workers: Optional[int] = None) -> None:
         self._workers_override = workers
-        self.tolerance = tolerance
         self._reset()
 
     def _reset(self) -> None:
@@ -78,13 +72,11 @@ class IncrementalCriticalPath:
         self._phase_open: dict[str, float] = {}
         self.windows: dict[str, tuple[float, float]] = {}
         self.predicted: dict[str, float] = {}
-        self.consumed = 0
 
     def consume(self, record: dict) -> None:
         event = record.get("event")
         if event == "sweep-start":
             self._reset()
-        self.consumed += 1
         if event == "pool-start":
             if self.workers is None:
                 self.workers = record.get("workers")
@@ -174,7 +166,7 @@ class IncrementalCriticalPath:
             if workers and makespan > 0
             else None
         )
-        chain = _chain(intervals, t_start, self.tolerance)
+        chain = _chain(intervals, t_start)
         chain_wall = sum(i["end"] - i["start"] for i in chain)
         return {
             "workers": workers,
@@ -275,18 +267,17 @@ def sweep_intervals(records: Iterable[dict]) -> tuple[list[dict], list[dict]]:
     return state.intervals, state.cached
 
 
-def _chain(intervals: list[dict], t_start: float,
-           tolerance: float = CHAIN_TOLERANCE) -> list[dict]:
+def _chain(intervals: list[dict], t_start: float) -> list[dict]:
     """Walk the blocking chain back from the last finisher."""
     if not intervals:
         return []
     current = max(intervals, key=lambda i: i["end"])
     chain = [current]
-    while current["start"] - t_start > tolerance:
+    while current["start"] - t_start > CHAIN_TOLERANCE:
         blockers = [
             i for i in intervals
             if i is not current
-            and i["end"] <= current["start"] + tolerance
+            and i["end"] <= current["start"] + CHAIN_TOLERANCE
             and i["start"] < current["start"]
         ]
         if not blockers:
@@ -298,14 +289,10 @@ def _chain(intervals: list[dict], t_start: float,
 
 
 def critical_path(
-    records: Iterable[dict],
-    *,
-    workers: Optional[int] = None,
-    tolerance: float = CHAIN_TOLERANCE,
+    records: Iterable[dict], *, workers: Optional[int] = None
 ) -> dict:
     """Summarize what bounded a sweep's wall clock (see module docstring)."""
-    state = IncrementalCriticalPath(workers=workers, tolerance=tolerance)
-    return state.consume_all(records).summary()
+    return IncrementalCriticalPath(workers=workers).consume_all(records).summary()
 
 
 def render_critical_path(summary: dict) -> str:

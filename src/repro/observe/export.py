@@ -1,6 +1,9 @@
 """Merging and exporting flight-recorder streams.
 
-Two output forms:
+This module owns the trace-directory layout: every ``*.jsonl`` file in a
+trace directory is one process's mirror, except the merged outputs
+:data:`MERGED_JSONL` and :data:`MERGED_CHROME` that :func:`write_trace`
+writes beside them.  Two output forms:
 
 * **merged JSONL** -- the union of every per-process mirror file, ordered
   by ``(wall, seq)`` (wall clock is the only timeline all processes
@@ -29,15 +32,20 @@ __all__ = [
     "write_jsonl",
     "to_chrome",
     "write_chrome",
+    "mirror_files",
+    "write_trace",
     "deterministic_projection",
     "SIM_TID",
+    "MERGED_JSONL",
+    "MERGED_CHROME",
 ]
 
 #: Chrome-trace thread id carrying a process's simulated-virtual-time events
 SIM_TID = 1000
 
-#: event-dict fields that may differ between two runs of the same workload
-NONDETERMINISTIC_FIELDS = ("wall", "dur", "pid")
+#: the merged outputs in a trace directory; never read back as mirrors
+MERGED_JSONL = "trace.jsonl"
+MERGED_CHROME = "trace.json"
 
 
 def read_jsonl(path: Union[str, Path]) -> Iterator[dict]:
@@ -152,6 +160,34 @@ def write_chrome(path: Union[str, Path], events: Sequence[dict]) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(to_chrome(events), sort_keys=True) + "\n")
     return path
+
+
+# -- the trace directory ------------------------------------------------------
+
+
+def mirror_files(trace_dir: Union[str, Path]) -> list[Path]:
+    """The per-process mirrors in a trace directory, in name order."""
+    return sorted(
+        p for p in Path(trace_dir).glob("*.jsonl") if p.name != MERGED_JSONL
+    )
+
+
+def write_trace(trace_dir: Union[str, Path],
+                chrome: Union[str, Path, None] = None) -> dict:
+    """Merge a trace directory's mirrors into :data:`MERGED_JSONL` and a
+    Chrome trace (``chrome``, default :data:`MERGED_CHROME` beside it);
+    returns the summary a sweep reports under ``trace``."""
+    trace_dir = Path(trace_dir)
+    events = merge_events(mirror_files(trace_dir))
+    jsonl = write_jsonl(trace_dir / MERGED_JSONL, events)
+    chrome = write_chrome(chrome or trace_dir / MERGED_CHROME, events)
+    return {
+        "dir": str(trace_dir),
+        "events": len(events),
+        "processes": len({e.get("pid") for e in events}),
+        "jsonl": str(jsonl),
+        "chrome": str(chrome),
+    }
 
 
 # -- determinism --------------------------------------------------------------

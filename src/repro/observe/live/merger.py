@@ -14,14 +14,15 @@ the mirrors are still growing, to many viewers at different positions, so
   than the current watermark, still reorderable as slower mirrors catch
   up.
 
-The watermark is ``scan_start - holdback``: any event older than that on
-a mirror we tail would have been flushed (mirrors flush per event) before
-the scan started, so nothing older can still appear -- except via the
-remote relay, which ships a worker's whole mirror tail only when its job
-finishes.  While remote jobs are open the watermark is therefore clamped
-below the oldest open job's start time (minus a margin for clock skew
-between machines), so a relay arriving seconds later still lands in the
-pending set, never behind the seal.
+The watermark is ``scan_start - DEFAULT_HOLDBACK``: any event older than
+that on a mirror we tail would have been flushed (mirrors flush per event)
+before the scan started, so nothing older can still appear -- except via
+the remote relay, which ships a worker's whole mirror tail only when its
+job finishes.  While remote jobs are open the watermark is therefore
+clamped below the oldest open job's start time (minus
+:data:`REMOTE_MARGIN` for clock skew between machines), so a relay
+arriving seconds later still lands in the pending set, never behind the
+seal.
 
 ``late`` counts events that arrive below the seal anyway (extreme clock
 skew, a mirror replayed from the past); they are served -- losing events
@@ -51,10 +52,7 @@ REMOTE_MARGIN = 1.0
 class LiveMerger:
     """Merge tailed events into an append-only, cursor-addressable feed."""
 
-    def __init__(self, *, holdback: float = DEFAULT_HOLDBACK,
-                 remote_margin: float = REMOTE_MARGIN) -> None:
-        self.holdback = holdback
-        self.remote_margin = remote_margin
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._pending: list[tuple[tuple, dict]] = []
         self.sealed: list[dict] = []
@@ -99,12 +97,9 @@ class LiveMerger:
     def watermark(self, scan_wall: float) -> float:
         """The seal frontier for a scan that *started* at ``scan_wall``."""
         with self._lock:
-            mark = scan_wall - self.holdback
+            mark = scan_wall - DEFAULT_HOLDBACK
             if self._open_remote:
-                mark = min(
-                    mark,
-                    min(self._open_remote.values()) - self.remote_margin,
-                )
+                mark = min(mark, min(self._open_remote.values()) - REMOTE_MARGIN)
             return mark
 
     def seal(self, watermark: float) -> int:

@@ -44,7 +44,7 @@ from ...fleet.remote.wire import (  # mode-salt: none
     JsonRequestHandler,
 )
 from ..critical_path import IncrementalCriticalPath
-from .merger import DEFAULT_HOLDBACK, LiveMerger
+from .merger import LiveMerger
 from .tailer import DirectoryTailer, MirrorTail
 from .views import ConsultantState, SwimlaneState
 
@@ -69,7 +69,6 @@ class LiveObservatory(BackgroundServer):
         host: str = "127.0.0.1",
         port: int = 0,
         token: Optional[str] = None,
-        holdback: float = DEFAULT_HOLDBACK,
         poll_interval: float = 0.15,
     ) -> None:
         super().__init__(host, port, token=token)
@@ -77,7 +76,7 @@ class LiveObservatory(BackgroundServer):
         self.events_path = Path(events_path) if events_path else None
         self.poll_interval = poll_interval
         self.tailer = DirectoryTailer(self.trace_dir)
-        self.merger = LiveMerger(holdback=holdback)
+        self.merger = LiveMerger()
         self.swimlanes = SwimlaneState()
         self.consultant = ConsultantState()
         self.cpath = IncrementalCriticalPath()

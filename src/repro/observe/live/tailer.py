@@ -14,8 +14,8 @@ zero under a bumped ``generation`` so downstream consumers can tell the
 new stream's line numbers from the old one's.
 
 :class:`DirectoryTailer` scans a trace directory for mirrors the way the
-post-hoc merge does (``*.jsonl`` minus the merged output) and keeps one
-:class:`MirrorTail` per file, picking up mirrors that appear mid-run --
+post-hoc merge does (:func:`repro.observe.export.mirror_files`) and keeps
+one :class:`MirrorTail` per file, picking up mirrors that appear mid-run --
 local workers fork lazily and remote relays land whole files at once.
 """
 
@@ -26,10 +26,9 @@ import os
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
-__all__ = ["MirrorTail", "DirectoryTailer", "TailedEvent"]
+from ..export import mirror_files
 
-#: the post-hoc merge's outputs, never tailed as inputs
-_EXCLUDED = ("trace.jsonl",)
+__all__ = ["MirrorTail", "DirectoryTailer", "TailedEvent"]
 
 
 class TailedEvent:
@@ -153,12 +152,9 @@ class DirectoryTailer:
 
     def poll(self) -> list[TailedEvent]:
         """One scan: pick up new mirrors, drain every tail."""
-        if self.trace_dir.is_dir():
-            for path in sorted(self.trace_dir.glob("*.jsonl")):
-                if path.name in _EXCLUDED:
-                    continue
-                if path.name not in self.tails:
-                    self.tails[path.name] = MirrorTail(path)
+        for path in mirror_files(self.trace_dir):
+            if path.name not in self.tails:
+                self.tails[path.name] = MirrorTail(path)
         out: list[TailedEvent] = []
         for name in sorted(self.tails):
             out.extend(self.tails[name].poll())

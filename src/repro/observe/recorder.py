@@ -1,12 +1,11 @@
-"""Per-process binary ring-buffer flight recorder.
+"""Per-process ring-buffer flight recorder.
 
 A :class:`Recorder` keeps the last ``capacity`` events of this process in a
-preallocated ring of packed binary records (:func:`pack_event`), so memory
-is strictly bounded no matter how long the process runs -- the flight-
-recorder property: when something dies, the tail of what it was doing is
-still there.  Optionally every event is also *mirrored* to an append-only
-JSONL file (flushed per event), which is what lets the fleet scheduler
-salvage a SIGKILLed worker's trace.
+bounded deque of event dicts, so memory is strictly bounded no matter how
+long the process runs -- the flight-recorder property: when something
+dies, the tail of what it was doing is still there.  Optionally every
+event is also *mirrored* to an append-only JSONL file (flushed per event),
+which is what lets the fleet scheduler salvage a SIGKILLed worker's trace.
 
 Event schema (one dict per event)::
 
@@ -37,8 +36,8 @@ from __future__ import annotations
 
 import json
 import os
-import struct
 import time
+from collections import deque
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
@@ -50,92 +49,23 @@ __all__ = [
     "disable",
     "recording",
     "suspended",
-    "pack_event",
-    "unpack_event",
-    "KINDS",
-    "CLOCKS",
 ]
-
-#: event kinds: span begin / span end / complete span / counter / instant
-KINDS = ("B", "E", "X", "C", "I")
-#: clock domains: host wall clock vs simulated virtual time
-CLOCKS = ("wall", "sim")
-
-_KIND_CODE = {k: i for i, k in enumerate(KINDS)}
-_CLOCK_CODE = {c: i for i, c in enumerate(CLOCKS)}
-
-#: packed record header: seq, kind, clock, t, wall, dur, len(name), len(args)
-_HEADER = struct.Struct("<IBBdddHH")
-
-
-def pack_event(
-    seq: int,
-    kind: str,
-    clock: str,
-    t: float,
-    wall: float,
-    dur: float,
-    name: str,
-    args: dict,
-) -> bytes:
-    """Pack one event into the fixed binary record the ring stores."""
-    name_b = name.encode("utf-8")
-    args_b = (
-        json.dumps(args, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        if args
-        else b""
-    )
-    return (
-        _HEADER.pack(
-            seq & 0xFFFFFFFF,
-            _KIND_CODE[kind],
-            _CLOCK_CODE[clock],
-            t,
-            wall,
-            dur,
-            len(name_b),
-            len(args_b),
-        )
-        + name_b
-        + args_b
-    )
-
-
-def unpack_event(data: bytes, pid: int = 0) -> dict:
-    """Invert :func:`pack_event` back into the event-dict schema."""
-    seq, kind, clock, t, wall, dur, name_len, args_len = _HEADER.unpack_from(data)
-    name = data[_HEADER.size : _HEADER.size + name_len].decode("utf-8")
-    args_b = data[_HEADER.size + name_len : _HEADER.size + name_len + args_len]
-    return {
-        "seq": seq,
-        "pid": pid,
-        "kind": KINDS[kind],
-        "clock": CLOCKS[clock],
-        "t": t,
-        "wall": wall,
-        "dur": dur,
-        "name": name,
-        "args": json.loads(args_b) if args_b else {},
-    }
 
 
 class Recorder:
-    """Bounded binary ring of structured events, optionally JSONL-mirrored."""
+    """Bounded ring of structured events, optionally JSONL-mirrored."""
 
     def __init__(
         self,
         capacity: int = 8192,
         *,
-        pid: Optional[int] = None,
         mirror: Union[str, Path, None] = None,
-        clock=time.time,
     ) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self.pid = os.getpid() if pid is None else pid
-        self._clock = clock
-        self._ring: list[Optional[bytes]] = [None] * capacity
+        self.pid = os.getpid()
+        self._ring: deque[dict] = deque(maxlen=capacity)
         self._seq = 0
         self.mirror_path = Path(mirror) if mirror is not None else None
         self._mirror_fh = None
@@ -145,21 +75,21 @@ class Recorder:
 
     def now(self) -> float:
         """The recorder's wall clock (for callers timing their own spans)."""
-        return self._clock()
+        return time.time()
 
     # -- emission ------------------------------------------------------------
 
     def _emit(self, kind: str, clock: str, t: Optional[float], name: str,
               args: dict, dur: float = 0.0) -> None:
-        wall = self._clock()
-        if t is None:
-            t = wall
+        wall = time.time()
         self._seq += 1
-        seq = self._seq
-        record = pack_event(seq, kind, clock, t, wall, dur, name, args)
-        self._ring[(seq - 1) % self.capacity] = record
+        event = {
+            "seq": self._seq, "pid": self.pid, "kind": kind, "clock": clock,
+            "t": wall if t is None else float(t), "wall": wall,
+            "dur": float(dur), "name": name, "args": args,
+        }
+        self._ring.append(event)
         if self._mirror_fh is not None:
-            event = unpack_event(record, self.pid)
             self._mirror_fh.write(json.dumps(event, sort_keys=True) + "\n")
             self._mirror_fh.flush()
 
@@ -173,8 +103,7 @@ class Recorder:
 
     def complete(self, name: str, dur: float, **args: Any) -> None:
         """One whole span as a single event (begin time = now - dur)."""
-        wall = self._clock()
-        self._emit("X", "wall", wall - dur, name, args, dur=dur)
+        self._emit("X", "wall", time.time() - dur, name, args, dur=dur)
 
     def counter(self, name: str, value: Union[int, float], *,
                 clock: str = "wall", t: Optional[float] = None,
@@ -204,15 +133,11 @@ class Recorder:
         return max(0, self._seq - self.capacity)
 
     def __len__(self) -> int:
-        return min(self._seq, self.capacity)
+        return len(self._ring)
 
     def events(self) -> Iterator[dict]:
-        """Decode the ring oldest-to-newest (sequence order)."""
-        start = self.dropped  # seq of the oldest retained event, minus one
-        for seq in range(start + 1, self._seq + 1):
-            record = self._ring[(seq - 1) % self.capacity]
-            if record is not None:
-                yield unpack_event(record, self.pid)
+        """The ring oldest-to-newest (sequence order)."""
+        return iter(self._ring)
 
     def dump(self) -> dict:
         """The flight-recorder dump embedded in fleet failure artifacts."""
@@ -252,7 +177,6 @@ def enable(
     capacity: int = 8192,
     *,
     mirror: Union[str, Path, None] = None,
-    pid: Optional[int] = None,
 ) -> Recorder:
     """Install (replacing any previous) the process-global recorder.
 
@@ -264,7 +188,7 @@ def enable(
     global _ACTIVE
     if _ACTIVE is not None:
         _ACTIVE.close()
-    _ACTIVE = Recorder(capacity, mirror=mirror, pid=pid)
+    _ACTIVE = Recorder(capacity, mirror=mirror)
     return _ACTIVE
 
 

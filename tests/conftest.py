@@ -8,6 +8,14 @@ from repro.mpi import MpiProgram, MpiUniverse
 from repro.sim import Cluster, Kernel
 
 
+def pytest_addoption(parser):
+    # tests/test_sweep_outputs.py: byte-compare two sweeps' outputs
+    parser.addoption("--compare-caches", nargs=2, metavar=("LHS", "RHS"),
+                     help="two fleet cache roots whose objects must match")
+    parser.addoption("--compare-reports", nargs=2, metavar=("LHS", "RHS"),
+                     help="two report directories whose *.txt must match")
+
+
 @pytest.fixture
 def kernel() -> Kernel:
     return Kernel()

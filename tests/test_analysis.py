@@ -1,5 +1,12 @@
 """Analysis layer: runner, statistics, report rendering, verdicts."""
 
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,8 +22,11 @@ from repro.analysis import (
     run_program,
     verify_program,
 )
+from repro.analysis.stats import _t_critical
 from repro.analysis.verify import Verdict
 from repro.pperfmark import HotProcedure
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestRunner:
@@ -75,6 +85,55 @@ class TestStats:
         assert relative_difference(100.0, 99.0) == pytest.approx(0.01)
         assert relative_difference(0.0, 0.0) == 0.0
         assert relative_difference(0.0, 1.0) == float("inf")
+
+    @pytest.mark.parametrize("df, tabulated", [
+        (1, 12.706), (4, 2.776), (10, 2.228), (30, 2.042),
+    ])
+    def test_t_critical_matches_tables(self, df, tabulated):
+        assert _t_critical(df) == pytest.approx(tabulated, abs=1e-3)
+
+    def test_interval_uses_student_t(self):
+        # 5 runs, as in the Presta bench: t(0.975, 4) = 2.776, not the
+        # normal quantile 1.960 (which would give 3 +/- 1.386)
+        cmp = paired_difference([1.0, 2.0, 3.0, 4.0, 5.0], [0.0] * 5)
+        assert cmp.mean_diff == 3.0
+        assert cmp.ci_high - cmp.mean_diff == pytest.approx(1.963, abs=1e-3)
+        assert cmp.mean_diff - cmp.ci_low == pytest.approx(1.963, abs=1e-3)
+
+
+class TestDependencies:
+    def test_sanitizer_and_analysis_import_no_scipy(self):
+        code = ("import sys, repro.sanitizer.run, repro.analysis; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        ).stdout
+        assert out.strip() == "[]"
+
+    def test_third_party_imports_are_declared(self):
+        text = (ROOT / "pyproject.toml").read_text()
+        block = re.search(r"^dependencies\s*=\s*\[(.*?)\]", text, re.S | re.M)
+        declared = {
+            re.split(r"[<>=!~;\[ ]", dep, maxsplit=1)[0].lower()
+            for dep in re.findall(r'"([^"]+)"', block.group(1))
+        }
+        undeclared = set()
+        for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    if top in sys.stdlib_module_names or top == "repro":
+                        continue
+                    if top.lower() not in declared:
+                        undeclared.add(f"{path.relative_to(ROOT)}: {top}")
+        assert not undeclared, sorted(undeclared)
 
 
 class TestReport:

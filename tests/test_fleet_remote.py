@@ -607,6 +607,48 @@ def test_remote_pool_returns_once_its_own_jobs_resolve(
         coord.shutdown()
 
 
+def test_remote_pool_starts_at_the_feed_end(pinned_version):
+    """A pool joining a long-lived coordinator never downloads the earlier
+    sweeps' history: its feed cursor starts at the length ``/health``
+    reports, and it ingests only its own sweep's records."""
+    (spec,) = make_specs(1)
+    coord = FleetCoordinator(lease_timeout=5.0).start()
+    worker_thread = None
+    try:
+        # an earlier sweep ran the same spec; ``reset`` keeps its events
+        coord.submit_jobs({"jobs": job_rows([spec])})
+        lease = coord.lease("w-old", code_version())["job"]["lease"]
+        assert coord.result(lease, ok_artifact(spec))["ok"]
+        coord.control("reset")
+        history = len(coord._events)
+        assert coord.health()["feed"] == history > 0
+
+        pool = RemotePool([coord.address], retries=0, poll_interval=0.02)
+        paths: list[str] = []
+        get = pool._get
+        pool._get = lambda endpoint, path: paths.append(path) or get(endpoint, path)
+        pool.submit(spec)
+        worker = FleetWorker(
+            coord.address, worker_id="w0", executor=_stub_ok,
+            poll_interval=0.02, log=lambda m: None,
+        )
+        worker_thread = threading.Thread(target=worker.run, daemon=True)
+        worker_thread.start()
+        assert pool.run()[spec.digest]["status"] == "ok"
+        cursors = [int(path.split("cursor=")[1]) for path in paths
+                   if path.startswith("/events")]
+        assert cursors and min(cursors) >= history  # never cursor=0
+        mine = [r["event"] for r in pool.events.records
+                if r.get("digest") == spec.digest]
+        assert mine.count("queued") == 1 and mine.count("completed") == 1
+        assert "w-old" not in {r.get("worker") for r in pool.events.records}
+    finally:
+        coord.control("drain")
+        if worker_thread is not None:
+            worker_thread.join(10)
+        coord.shutdown()
+
+
 def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
     specs = make_specs(6)
 

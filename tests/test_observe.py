@@ -24,13 +24,11 @@ from repro.observe import (
     disable,
     enable,
     merge_events,
-    pack_event,
     read_jsonl,
     recording,
     render_critical_path,
     sweep_intervals,
     to_chrome,
-    unpack_event,
     write_chrome,
     write_jsonl,
 )
@@ -55,14 +53,26 @@ def no_leaked_recorder():
 
 # ---------------------------------------------------------------- recorder
 
-def test_pack_unpack_round_trip():
-    record = pack_event(7, "X", "sim", 1.25, 1e9, 0.5, "kernel.run",
-                        {"events": 42})
-    event = unpack_event(record, pid=123)
-    assert event == {
-        "seq": 7, "pid": 123, "kind": "X", "clock": "sim", "t": 1.25,
-        "wall": 1e9, "dur": 0.5, "name": "kernel.run", "args": {"events": 42},
-    }
+def test_pack_unpack_round_trip(tmp_path):
+    """The ring and the mirror hold the same events, field for field: one
+    event of each kind on both clocks, read back from the JSONL mirror."""
+    mirror = tmp_path / "worker.jsonl"
+    rec = Recorder(capacity=16, mirror=mirror)
+    for clock in ("wall", "sim"):
+        t = 1.25 if clock == "sim" else None
+        rec._emit("B", clock, t, "span", {"job": "a", "n": 1})
+        rec._emit("E", clock, t, "span", {})
+        rec._emit("X", clock, t, "kernel.run", {"events": 42}, dur=0.5)
+        rec.counter("queue", 3, clock=clock, t=t, slot=0)
+        rec.instant("mark", clock=clock, t=t, ok=True, note=None)
+    rec.close()
+    ring = list(rec.events())
+    assert [(e["kind"], e["clock"]) for e in ring] == [
+        (kind, clock) for clock in ("wall", "sim") for kind in "BEXCI"
+    ]
+    assert [e["seq"] for e in ring] == list(range(1, 11))
+    assert all(e["pid"] == rec.pid for e in ring)
+    assert ring == list(read_jsonl(mirror))
 
 
 def test_ring_is_bounded_and_keeps_the_tail():
@@ -612,6 +622,27 @@ def test_cli_fleet_status_truncated_log(tmp_path, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out.startswith("# fleet cache at ")
     assert "corrupt or truncated" in err and "Traceback" not in err
+
+
+def test_cli_fleet_status_event_count(tmp_path, monkeypatch, capsys):
+    """``--events N`` prints the last N records: 0 prints none (a plain
+    ``records[-0:]`` slice would print them all), a negative N exits 2."""
+    monkeypatch.chdir(tmp_path)
+    cache = ResultCache(tmp_path / "cache")
+    cache.root.mkdir()
+    cache.events_path.write_text("".join(
+        f'{{"t": {i}.0, "event": "started", "job": "j{i}"}}\n' for i in range(3)
+    ))
+    argv = ["fleet", "status", "--cache", str(cache.root), "--events"]
+    assert main(argv + ["0"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# fleet cache at ") and "started" not in out
+    assert main(argv + ["2"]) == 0
+    out = capsys.readouterr().out
+    assert "job=j0" not in out and "job=j1" in out and "job=j2" in out
+    assert main(argv + ["-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--events must be >= 0" in err
 
 
 def test_cli_observe_critical_path_empty_file(tmp_path, capsys):

@@ -244,7 +244,7 @@ def test_live_merge_incremental_appends_same_order(tmp_path):
 
 
 def test_watermark_clamped_while_remote_jobs_open():
-    merger = LiveMerger(holdback=0.5, remote_margin=1.0)
+    merger = LiveMerger()
     merger.note_fleet_record({"event": "pool-start", "remote": True})
     merger.note_fleet_record(
         {"event": "started", "digest": "d1", "attempt": 1, "t": 100.0}
