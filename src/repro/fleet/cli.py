@@ -25,6 +25,7 @@ from ..observe.cli import DEFAULT_TRACE_DIR  # mode-salt: none
 from ..observe.critical_path import render_critical_path  # mode-salt: none
 from .cache import ResultCache
 from .events import read_events
+from .scheduler import FleetScheduler
 from .sweeps import (
     BENCH_OUT,
     DEFAULT_SANITIZE_IMPLS,
@@ -49,6 +50,18 @@ def _resolve_store(arg: Optional[str]):
     from .execute import default_cache
 
     return default_cache()
+
+
+def _endpoint(value: str) -> str:
+    """``--workers``: exactly one coordinator ``HOST:PORT``, checked while
+    parsing (the wire module loads only when the option is given)."""
+    from .remote.wire import parse_endpoint
+
+    try:
+        parse_endpoint(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _add_token_flag(parser: argparse.ArgumentParser) -> None:
@@ -93,9 +106,9 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                        help="seed for the deterministic chaos kill schedule")
     sweep.add_argument("--no-render", action="store_true",
                        help="warm the cache only; skip report regeneration")
-    sweep.add_argument("--workers", default=None, metavar="HOST:PORT,...",
-                       help="run the sweep over remote workers attached to "
-                       "these coordinators (repro fleet serve) instead of "
+    sweep.add_argument("--workers", type=_endpoint, metavar="HOST:PORT",
+                       help="run the sweep over the remote workers attached "
+                       "to this coordinator (repro fleet serve) instead of "
                        "local forks")
     sweep.add_argument("--store", default=None, metavar="URL",
                        help="shared artifact-store URL (repro fleet store); "
@@ -135,8 +148,9 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
     run.add_argument("--interactive", action="store_true",
                      help="submit at interactive priority: remote workers "
                      "lease it before any queued sweep job")
-    run.add_argument("--workers", default=None, metavar="HOST:PORT,...",
-                     help="run on these coordinators instead of in-process")
+    run.add_argument("--workers", type=_endpoint, metavar="HOST:PORT",
+                     help="run on this coordinator's workers instead of a "
+                     "local fork")
     run.add_argument("--store", default=None, metavar="URL",
                      help="shared artifact-store URL; overrides --cache")
     run.add_argument("--cache", default=None, metavar="DIR",
@@ -203,13 +217,7 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _export_token(args.token)
-    if args.store:
-        from .remote.store import HTTPStore
-
-        cache = HTTPStore(args.store)
-    else:
-        cache = ResultCache(args.cache) if args.cache else None
-    workers = [w for w in (args.workers or "").split(",") if w] or None
+    cache = _resolve_store(args.store or args.cache)
     bench_out = None if args.bench_out == "-" else Path(args.bench_out)
     summary = run_sweep(
         suite=args.suite,
@@ -219,7 +227,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         chaos=args.chaos,
         chaos_seed=args.chaos_seed,
         render=not args.no_render,
-        workers=workers,
+        workers=args.workers,
         cache=cache,
         bench_out=bench_out,
         sanitize_impls=tuple(args.impls.split(",")),
@@ -315,46 +323,30 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.program, mode=args.mode, impl=args.impl,
         nprocs=args.nprocs, seed=args.seed, quick=args.quick,
     )
-    workers = [w for w in (args.workers or "").split(",") if w] or None
-    started = _time.monotonic()
-    if workers:
+    cache = _resolve_store(args.store or args.cache)
+    if args.workers:
         from .remote.pool import RemotePool
 
-        store = _resolve_store(args.store) if args.store else (
-            ResultCache(args.cache) if args.cache else None
-        )
-        pool = RemotePool(
-            workers, store=store, timeout=args.timeout, retries=args.retries,
-        )
-        # priority -1 leases ahead of both sweep classes (0 and 1)
-        pool.submit(spec, priority=-1 if args.interactive else 0)
-        results = pool.run()
-        artifact = results.get(spec.digest) or {}
-        outcome = pool.outcomes[spec.digest]
-        cached = outcome.status == "cached" or outcome.cached
-        status = artifact.get("status", "missing")
+        pool = RemotePool(args.workers, store=cache, timeout=args.timeout,
+                          retries=args.retries)
     else:
-        cache = _resolve_store(args.store or args.cache)
-        cached = cache.get(spec.digest) is not None
-        from .execute import run_cached
-
-        try:
-            artifact = run_cached(spec, cache)
-        except Exception as exc:  # unknown program, bad params, ...
-            print(f"fleet run: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
-        status = artifact.get("status", "missing")
+        pool = FleetScheduler(jobs=1, timeout=args.timeout,
+                              retries=args.retries, cache=cache)
+    started = _time.monotonic()
+    # priority -1 leases ahead of both sweep classes (0 and 1)
+    pool.submit(spec, priority=-1 if args.interactive else 0)
+    pool.run()
     wall = _time.monotonic() - started
+    outcome = pool.outcomes[spec.digest]
+    status = "failed" if outcome.status == "failed" else "ok"
     print(f"# fleet run {spec.label} "
           f"[{'interactive' if args.interactive else 'sweep'}]"
-          + (f" on {len(workers)} coordinator(s)" if workers else "")
-          + f": {status}" + (" (cache hit)" if cached else "")
+          + (f" on {args.workers}" if args.workers else "")
+          + f": {status}" + (" (cache hit)" if outcome.cached else "")
           + f" in {wall:.2f}s")
     print(f"# digest: {spec.digest}")
-    error = artifact.get("error")
-    if error:
-        print(f"#   ERROR {error.get('type', 'error')}: "
-              f"{error.get('message', '')}")
+    if outcome.error:
+        print(f"#   ERROR {outcome.error}")
     return 0 if status == "ok" else 1
 
 

@@ -10,8 +10,9 @@ The fleet's two remote protocols, both JSON-over-HTTP on the stdlib:
 * **worker pool** (:mod:`.coordinator` / :mod:`.worker` / :mod:`.pool`) --
   ``repro fleet serve`` runs the job-lease/heartbeat/result coordinator,
   ``repro fleet worker`` runs stateless pullers, and :class:`RemotePool`
-  lets ``repro fleet sweep --workers host:port`` shard a sweep across
-  machines with work-stealing on lease expiry.
+  lets ``repro fleet sweep --workers host:port`` run a sweep on the
+  workers attached to that one coordinator, on any number of machines,
+  with work-stealing on lease expiry.
 
 Remote execution reuses the exact local worker entry point, so remote
 artifacts are byte-identical to local ones -- same digests, same salts.

@@ -12,7 +12,7 @@ that makes cross-machine work-stealing safe:
     ``POST /heartbeat``        renew a lease; ``ok: false`` = lease was stolen
     ``POST /result``           deliver an artifact; drives retry/completion
     ``GET  /events?cursor=N``  lifecycle event feed (the driver's poll)
-    ``POST /control``          ``drain`` (workers exit when idle) / ``reset``
+    ``POST /control``          ``drain`` (workers seen so far exit when idle)
     =========================  ================================================
 
 Lease state machine (per job)::
@@ -133,7 +133,10 @@ class FleetCoordinator(BackgroundServer):
         self._leases: dict[str, _Lease] = {}
         self._workers: dict[str, _Worker] = {}
         self._events: list[dict] = []
-        self._draining = False
+        #: workers seen when ``drain`` was posted: each is sent home at its
+        #: next idle lease; a worker first seen later stays, and the next
+        #: ``/jobs`` batch ends the drain
+        self._drained: set[str] = set()
         self.steals = 0
         self.retried = 0
         self.worker_losses = 0
@@ -156,8 +159,11 @@ class FleetCoordinator(BackgroundServer):
     # -- submission (the driver) ---------------------------------------------
 
     def submit_jobs(self, payload: dict) -> dict:
-        """``POST /jobs``: accept a batch of specs; idempotent per digest."""
+        """``POST /jobs``: accept a batch of specs.  A digest already queued
+        or completed is not queued again; a failed one runs again with fresh
+        attempts (failures are never cached)."""
         with self._lock:
+            self._drained.clear()
             if payload.get("retries") is not None:
                 self._graph.retries = max(0, int(payload["retries"]))
                 self.max_steals = max(self.max_steals, self._graph.retries + 2)
@@ -173,7 +179,7 @@ class FleetCoordinator(BackgroundServer):
             for row in payload.get("jobs", ()):
                 digest = row["digest"]
                 existing = self._jobs.get(digest)
-                if existing is not None:
+                if existing is not None and existing.status != "failed":
                     if existing.node.state == DONE:
                         # a long-lived coordinator serving successive sweep
                         # phases: hand the terminal record straight back so
@@ -188,6 +194,7 @@ class FleetCoordinator(BackgroundServer):
                             "store_hit": existing.cached,
                         })
                     continue
+                # new, or a failed run resubmitted: (re)queue it, fresh attempts
                 priority = int(row.get("priority", 0))
                 deps = self._graph.add(digest, priority=priority,
                                        after=row.get("after") or ())
@@ -230,8 +237,10 @@ class FleetCoordinator(BackgroundServer):
             worker.last_seen = now
             digest = self._graph.pop(now)
             if digest is None:
-                idle_shutdown = self._draining and not self._graph.unfinished
-                return {"job": None, "shutdown": idle_shutdown}
+                shutdown = worker_id in self._drained and not self._graph.unfinished
+                if shutdown:
+                    self._drained.discard(worker_id)
+                return {"job": None, "shutdown": shutdown}
             job = self._jobs[digest]
             attempt = self._graph.start(digest)
             lease = _Lease(
@@ -429,23 +438,17 @@ class FleetCoordinator(BackgroundServer):
                     for w in self._workers.values()
                 },
                 "lease_timeout": self.lease_timeout,
-                "draining": self._draining,
+                "draining": bool(self._drained),
             }
 
     def control(self, action: str) -> dict:
-        with self._lock:
-            if action == "drain":
-                self._draining = True
-                return {"ok": True, "draining": True}
-            if action == "reset":
-                # a long-lived coordinator serving successive sweeps: drop
-                # terminal jobs, keep registered workers
-                self._graph.prune()
-                self._jobs = {d: j for d, j in self._jobs.items()
-                              if d in self._graph.nodes}
-                self._draining = False
-                return {"ok": True, "jobs": len(self._jobs)}
+        """``POST /control``: ``drain`` sends every worker seen so far home
+        at its next lease on an empty queue."""
+        if action != "drain":
             return {"ok": False, "error": f"unknown action {action!r}"}
+        with self._lock:
+            self._drained = set(self._workers)
+            return {"ok": True, "draining": bool(self._drained)}
 
 
 class _CoordinatorHandler(JsonRequestHandler):

@@ -1,23 +1,22 @@
-"""The sweep driver's remote pool: shard jobs across coordinators.
+"""The sweep driver's remote pool: one coordinator's workers.
 
 :class:`RemotePool` is interface-compatible with
 :class:`~repro.fleet.scheduler.FleetScheduler` (``submit`` / ``run`` /
-``results`` / ``outcomes`` / ``summary``), so ``run_sweep`` swaps one for
-the other when ``--workers`` names coordinator endpoints: the same single
-dependency-pipelined pool, the same observe analysis, over remote workers.
+``results`` / ``outcomes`` / ``summary``), so ``run_sweep`` and ``repro
+fleet run`` swap one for the other when ``--workers`` names a coordinator
+endpoint: the same single dependency-pipelined pool, the same observe
+analysis, over remote workers.
 
 The driver:
 
 1. short-circuits each spec through the shared artifact store (the warm
    sweep against an already-warm store does zero remote round trips per
    hit, same as the local pool against a warm directory);
-2. shards the remaining jobs across the coordinator endpoints by a
-   deterministic locality score (consumers follow their producers, job
-   families stick to one coordinator, load stays bounded; one
-   coordinator is the common case), each job row carrying its ``after``
-   producers so the coordinator's :class:`~repro.fleet.scheduler.JobGraph`
-   holds a render until the artifacts it consumes are terminal;
-3. polls each coordinator's event feed, re-emitting lifecycle records
+2. submits the remaining jobs to the coordinator as one batch, each job
+   row carrying its ``after`` producers so the coordinator's
+   :class:`~repro.fleet.scheduler.JobGraph` holds a render until the
+   artifacts it consumes are terminal;
+3. polls the coordinator's event feed, re-emitting lifecycle records
    into the sweep's :class:`EventLog` with the *coordinator's* timestamps
    preserved -- so ``observe`` swimlanes and critical-path analysis see
    the same ``queued/started/retry/stolen/completed`` stream a local
@@ -37,7 +36,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from ..cache import ArtifactStore, StoreIntegrityError
 from ..events import EventLog
@@ -54,21 +53,21 @@ _STRIP_FIELDS = ("artifact",)
 
 
 class RemotePool:
-    """Drive a sweep's jobs over coordinator-attached remote workers.
+    """Drive a sweep's jobs over one coordinator's remote workers.
 
     Parameters
     ----------
-    endpoints: coordinator addresses (``host:port`` strings).
+    endpoint: the coordinator address (a ``host:port`` string).
     store: the shared artifact store (driver-side hit short-circuit);
         ``None`` disables the pre-check (workers may still have one).
-    timeout / retries: forwarded to the coordinators with the job batch.
-    chaos_kills: arm N deterministic worker kills on the first
-        coordinator (the ``--chaos`` drill, remote edition).
-    drain: after the run completes, tell coordinators to send idle
-        workers home once their queues are empty.
+    timeout / retries: forwarded to the coordinator with the job batch.
+    chaos_kills: arm N deterministic worker kills on the coordinator
+        (the ``--chaos`` drill, remote edition).
+    drain: after the run completes, tell the coordinator to send the
+        workers it has seen home once its queue is empty.
     worker_grace: seconds to tolerate zero live workers with jobs
         pending before failing the remainder locally.
-    trace_dir: when set, ask workers (via the coordinators) to relay
+    trace_dir: when set, ask workers (via the coordinator) to relay
         their flight-recorder mirror tails; each relay lands as
         ``remote-<digest>.<attempt>.jsonl`` in this directory, where the
         post-hoc merge and the live tailer pick it up exactly like a
@@ -77,7 +76,7 @@ class RemotePool:
 
     def __init__(
         self,
-        endpoints: Sequence[Union[str, Endpoint]],
+        endpoint: Union[str, Endpoint],
         *,
         store: Optional[ArtifactStore] = None,
         timeout: Optional[float] = None,
@@ -90,9 +89,7 @@ class RemotePool:
         worker_grace: float = 60.0,
         trace_dir: Optional[Union[str, Path]] = None,
     ) -> None:
-        if not endpoints:
-            raise ValueError("RemotePool needs at least one coordinator endpoint")
-        self.endpoints = [parse_endpoint(e) for e in endpoints]
+        self.endpoint = parse_endpoint(endpoint)
         self.store = store
         self.timeout = timeout
         self.retries = max(0, retries)
@@ -105,8 +102,8 @@ class RemotePool:
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         # FleetScheduler-compatible surface: observed worker concurrency
         # (refined from coordinator health once the sweep is running)
-        self.requested_jobs = len(self.endpoints)
-        self.jobs = len(self.endpoints)
+        self.requested_jobs = 1
+        self.jobs = 1
         self._submitted: dict[str, tuple[RunSpec, int, tuple]] = {}
         self.results: dict[str, dict] = {}
         self.outcomes: dict[str, JobOutcome] = {}
@@ -123,9 +120,7 @@ class RemotePool:
         """Queue one spec (lower ``priority`` leases first; ``repro fleet
         run --interactive`` uses -1 to jump any queued sweep).  ``after``
         lists consumed artifact digests: the coordinator holds the job
-        until those it was also sent are terminal, and they feed the
-        locality score so consumers shard to their producers'
-        coordinator."""
+        until those it was also sent are terminal."""
         digest = spec.digest
         if digest in self._submitted:
             return digest
@@ -135,26 +130,19 @@ class RemotePool:
 
     # -- coordinator round trips ---------------------------------------------
 
-    def _post(self, endpoint: Endpoint, path: str, payload: dict) -> dict:
+    def _request(self, method: str, path: str,
+                 payload: Optional[dict] = None) -> dict:
         status, body = request_json(
-            endpoint, "POST", path, payload, timeout=30.0, retries=2
+            self.endpoint, method, path, payload, timeout=30.0, retries=2
         )
         if status != 200:
-            raise WireError(f"{path} on {endpoint.address} -> HTTP {status}")
-        return body
-
-    def _get(self, endpoint: Endpoint, path: str) -> dict:
-        status, body = request_json(
-            endpoint, "GET", path, timeout=30.0, retries=2
-        )
-        if status != 200:
-            raise WireError(f"{path} on {endpoint.address} -> HTTP {status}")
+            raise WireError(f"{path} on {self.endpoint.address} -> HTTP {status}")
         return body
 
     # -- the run loop --------------------------------------------------------
 
     def run(self) -> dict[str, dict]:
-        """Drain every submitted job through the coordinators; returns
+        """Drain every submitted job through the coordinator; returns
         ``{digest: artifact}``.  Job failures become failure artifacts,
         never exceptions -- same contract as the fork pool."""
         pending = self._store_precheck()
@@ -162,19 +150,16 @@ class RemotePool:
         self.events.emit(
             "pool-start", workers=self.jobs, requested=self.requested_jobs,
             queued=len(pending), remote=True,
-            coordinators=[e.address for e in self.endpoints],
         )
         if pending:
-            cursors = self._submit_batches(pending)
-            self._poll(cursors)
+            self._poll(self._submit(pending))
         summary = self.summary()
         self.events.emit("sweep-summary", **summary)
         if self.drain:
-            for endpoint in self.endpoints:
-                try:
-                    self._post(endpoint, "/control", {"action": "drain"})
-                except WireError:  # pragma: no cover - already gone
-                    pass
+            try:
+                self._request("POST", "/control", {"action": "drain"})
+            except WireError:  # pragma: no cover - already gone
+                pass
         return self.results
 
     def _store_precheck(self) -> list[str]:
@@ -197,112 +182,58 @@ class RemotePool:
             self.events.emit("cached-hit", digest=digest, job=outcome.job)
         return pending
 
-    def _assign_endpoints(self, pending: list[str]) -> dict[int, list[str]]:
-        """Locality-scored sharding (deterministic, driver-side).
-
-        Round-robin scattered a program's runs and their consumers across
-        coordinators; instead, prefer the coordinator that (a) already got
-        any of this spec's consumed-artifact producers this sweep (+2 --
-        the worker's store precheck will hold those artifacts hot), or
-        (b) already ran this ``mode:program`` family (+1 -- warm module
-        caches and page cache).  Load stays bounded: nobody is assigned
-        more than ``ceil(len/n) + 1`` jobs, so a degenerate score cannot
-        starve a coordinator.
-        """
-        n = len(self.endpoints)
-        assigned: dict[int, list[str]] = {i: [] for i in range(n)}
-        if n == 1:
-            assigned[0] = list(pending)
-            return assigned
-        cap = -(-len(pending) // n) + 1
-        family_home: dict[str, int] = {}
-        digest_home: dict[str, int] = {}
-        for digest in pending:
-            spec, _priority, after = self._submitted[digest]
-            family = f"{spec.mode}:{spec.program}"
-            ranked = []
-            for i in range(n):
-                score = 0
-                if any(digest_home.get(d) == i for d in after):
-                    score += 2
-                if family_home.get(family) == i:
-                    score += 1
-                ranked.append((-score, len(assigned[i]), i))
-            ranked.sort()
-            best = next(
-                (i for _neg, load, i in ranked if load < cap), ranked[0][2]
-            )
-            assigned[best].append(digest)
-            family_home.setdefault(family, best)
-            digest_home[digest] = best
-        return assigned
-
-    def _submit_batches(self, pending: list[str]) -> dict[str, int]:
-        """Shard the jobs across coordinators by locality score; returns
-        each coordinator's event-feed cursor snapshotted *before* submission
-        (a long-lived coordinator has older sweeps' events in its feed)."""
-        assigned = self._assign_endpoints(pending)
+    def _submit(self, pending: list[str]) -> int:
+        """Send the jobs as one batch; returns the coordinator's event-feed
+        cursor snapshotted *before* submission (a long-lived coordinator
+        has older sweeps' events in its feed)."""
         remote = set(pending)
-        batches: dict[int, list[dict]] = {}
-        for i, digests in assigned.items():
-            batches[i] = []
-            for digest in digests:
-                spec, priority, after = self._submitted[digest]
-                batches[i].append({
-                    "digest": digest,
-                    "spec": spec.to_dict(),
-                    "label": spec.label,
-                    "priority": priority,
-                    # store hits resolved above are already terminal
-                    "after": [d for d in after if d in remote],
-                })
-        cursors: dict[str, int] = {}
-        for i, endpoint in enumerate(self.endpoints):
-            health = self._get(endpoint, "/health")
-            cursors[endpoint.address] = health.get("feed", 0)
-            payload = {
-                "jobs": batches[i],
-                "retries": self.retries,
-                "timeout": self.timeout,
-                "trace": self.trace_dir is not None,
-            }
-            if i == 0 and self.chaos_kills:
-                payload["chaos_kills"] = self.chaos_kills
-                payload["chaos_seed"] = self.chaos_seed
-            response = self._post(endpoint, "/jobs", payload)
-            # digests already terminal on a long-lived coordinator (an
-            # earlier sweep ran them) come straight back as results
-            for row in response.get("done", ()):
-                self._terminal(row)
-        return cursors
+        jobs = []
+        for digest in pending:
+            spec, priority, after = self._submitted[digest]
+            jobs.append({
+                "digest": digest,
+                "spec": spec.to_dict(),
+                "label": spec.label,
+                "priority": priority,
+                # store hits resolved above are already terminal
+                "after": [d for d in after if d in remote],
+            })
+        cursor = self._request("GET", "/health").get("feed", 0)
+        payload = {
+            "jobs": jobs,
+            "retries": self.retries,
+            "timeout": self.timeout,
+            "trace": self.trace_dir is not None,
+        }
+        if self.chaos_kills:
+            payload["chaos_kills"] = self.chaos_kills
+            payload["chaos_seed"] = self.chaos_seed
+        response = self._request("POST", "/jobs", payload)
+        # digests a long-lived coordinator already completed (an earlier
+        # sweep ran them) come straight back as results
+        for row in response.get("done", ()):
+            self._terminal(row)
+        return cursor
 
-    def _poll(self, cursors: dict[str, int]) -> None:
+    def _poll(self, cursor: int) -> None:
         no_worker_since: Optional[float] = None
         while True:
-            progressed = False
-            alive = 0
-            for endpoint in self.endpoints:
-                try:
-                    feed = self._get(
-                        endpoint, f"/events?cursor={cursors[endpoint.address]}"
-                    )
-                    health = self._get(endpoint, "/health")
-                except WireError:
-                    self._fail_remaining("coordinator-lost",
-                                         f"coordinator {endpoint.address} "
-                                         "became unreachable mid-sweep")
-                    return
-                alive += int(health.get("workers", 0))
-                events = feed.get("events", ())
-                cursors[endpoint.address] = feed.get("cursor",
-                                                     cursors[endpoint.address])
-                progressed |= bool(events)
-                for record in events:
-                    self._ingest(record)
+            try:
+                feed = self._request("GET", f"/events?cursor={cursor}")
+                alive = int(self._request("GET", "/health").get("workers", 0))
+            except WireError:
+                self._fail_remaining("coordinator-lost",
+                                     f"coordinator {self.endpoint.address} "
+                                     "became unreachable mid-sweep")
+                return
+            events = feed.get("events", ())
+            cursor = feed.get("cursor", cursor)
+            for record in events:
+                self._ingest(record)
             if not self._unresolved():
                 return
             now = time.monotonic()
-            if alive == 0 and self._unresolved():
+            if alive == 0:
                 no_worker_since = no_worker_since if no_worker_since is not None else now
                 if now - no_worker_since > self.worker_grace:
                     self._fail_remaining(
@@ -313,7 +244,7 @@ class RemotePool:
                     return
             else:
                 no_worker_since = None
-            if not progressed:
+            if not events:
                 time.sleep(self.poll_interval)
 
     # -- event ingestion -----------------------------------------------------
@@ -409,39 +340,16 @@ class RemotePool:
         return summarize_outcomes(self.outcomes.values())
 
     def remote_summary(self) -> dict:
-        """Coordinator-side counters for BENCH_fleet.json's ``remote``
-        section: per-worker job counts, steals, retries, store hit rate."""
-        coordinators = []
-        workers: dict[str, dict] = {}
-        totals = {"steals": 0, "retries": 0, "worker_losses": 0,
-                  "chaos_kills": 0, "store_hits": 0}
-        for endpoint in self.endpoints:
-            try:
-                status = self._get(endpoint, "/status")
-            except WireError:
-                coordinators.append({"endpoint": endpoint.address,
-                                     "unreachable": True})
-                continue
-            coordinators.append({"endpoint": endpoint.address, **{
-                k: status.get(k) for k in
-                ("jobs", "completed", "failed", "steals", "retries",
-                 "worker_losses", "chaos_kills", "lease_timeout")
-            }})
-            for key in totals:
-                totals[key] += int(status.get(key, 0))
-            for worker_id, row in (status.get("workers") or {}).items():
-                merged = workers.setdefault(
-                    worker_id, {"jobs": 0, "store_hits": 0, "lost": 0}
-                )
-                for key in merged:
-                    merged[key] += int(row.get(key, 0))
-        if workers:
-            self.jobs = max(self.jobs, len(workers))
-        summary = {
-            "coordinators": coordinators,
-            "workers": workers,
-            **totals,
-        }
+        """BENCH_fleet.json's ``remote`` section: the coordinator's
+        ``/status`` body (per-worker job counts, steals, retries, store
+        hits -- lifetime totals), plus its endpoint and the store's stats."""
+        try:
+            summary = self._request("GET", "/status")
+        except WireError:
+            summary = {"unreachable": True}
+        summary["endpoint"] = self.endpoint.address
+        if summary.get("workers"):
+            self.jobs = max(self.jobs, len(summary["workers"]))
         if self.store is not None:
             summary["store"] = self.store.describe()
         return summary
@@ -449,13 +357,11 @@ class RemotePool:
     def refresh_worker_count(self) -> int:
         """Observed live-worker concurrency (feeds swimlane/critical-path
         analysis the way the fork pool's ``jobs`` does)."""
-        alive = 0
-        for endpoint in self.endpoints:
-            try:
-                alive += int(self._get(endpoint, "/health").get("workers", 0))
-            except WireError:
-                continue
+        try:
+            alive = int(self._request("GET", "/health").get("workers", 0))
+        except WireError:
+            alive = 0
         if alive:
-            self.jobs = max(1, alive)
-            self.requested_jobs = max(self.requested_jobs, self.jobs)
+            self.jobs = alive
+            self.requested_jobs = max(self.requested_jobs, alive)
         return self.jobs

@@ -72,7 +72,8 @@ class Endpoint:
 
 
 def parse_endpoint(value: Union[str, Endpoint]) -> Endpoint:
-    """Parse ``host:port``, ``:port`` (localhost), or an ``http://`` URL."""
+    """Parse one ``host:port``, ``:port`` (localhost), or an ``http://``
+    URL; a comma-separated list is rejected."""
     if isinstance(value, Endpoint):
         return value
     text = value.strip()
@@ -82,8 +83,8 @@ def parse_endpoint(value: Union[str, Endpoint]) -> Endpoint:
             raise ValueError(f"endpoint URL needs an explicit port: {value!r}")
         return Endpoint(parsed.hostname or "127.0.0.1", parsed.port)
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise ValueError(f"malformed endpoint {value!r}; want host:port")
+    if not sep or not port.isdigit() or "," in host:
+        raise ValueError(f"malformed endpoint {value!r}; want one host:port")
     return Endpoint(host or "127.0.0.1", int(port))
 
 
@@ -166,9 +167,9 @@ def request_json(
 class JsonRequestHandler(BaseHTTPRequestHandler):
     """Request-handler base: silent logs, JSON helpers, body reader.
 
-    Subclasses implement ``route(method, path)`` returning either
-    ``(status, json_payload)`` or ``None`` for "not found"; raw-bytes
-    endpoints bypass ``route`` by overriding ``do_GET``/``do_PUT``.
+    Subclasses override ``do_GET`` / ``do_POST`` (and ``do_HEAD`` /
+    ``do_PUT`` for raw-bytes endpoints), route on ``self.path`` and answer
+    through :meth:`send_json` or :meth:`send_bytes`.
     """
 
     protocol_version = "HTTP/1.1"

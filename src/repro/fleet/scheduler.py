@@ -297,11 +297,6 @@ class JobGraph:
         """When the earliest backed-off job becomes ready (``None`` if none)."""
         return self._backoff[0][0] if self._backoff else None
 
-    def prune(self) -> None:
-        """Forget every terminal job (a long-lived coordinator between
-        sweeps); a pruned digest added again runs again."""
-        self.nodes = {d: n for d, n in self.nodes.items() if n.state != DONE}
-
 
 # -- the fork pool --------------------------------------------------------------
 

@@ -195,7 +195,7 @@ def run_sweep(
     chaos: int = 0,
     chaos_seed: int = 0,
     render: bool = True,
-    workers: Optional[Sequence[str]] = None,
+    workers: Optional[str] = None,
     cache: Optional[ArtifactStore] = None,
     events: Optional[EventLog] = None,
     bench_out: Optional[Path] = None,
@@ -218,9 +218,9 @@ def run_sweep(
     -order determinism testing); artifacts and reports are byte-identical
     for every value.
 
-    With ``workers`` set (``--workers host:port,...``), the same single
-    pool runs through coordinator-attached remote workers instead of local
-    forks; ``cache`` is then typically an
+    With ``workers`` set (``--workers host:port``), the same single pool
+    runs through the remote workers attached to that coordinator instead
+    of local forks; ``cache`` is then typically an
     :class:`~repro.fleet.remote.store.HTTPStore` so every machine shares
     one warm store.  ``--chaos`` additionally arms ``chaos`` deterministic
     worker kills (seeded by ``chaos_seed``) to drill the steal/retry path.
@@ -277,7 +277,7 @@ def run_sweep(
         summary = _run_sweep(
             suite=suite, jobs=jobs, timeout=timeout, retries=retries,
             chaos=chaos, chaos_seed=chaos_seed, render=render,
-            workers=list(workers) if workers else None, cache=cache,
+            workers=workers, cache=cache,
             events=events, bench_out=bench_out,
             sanitize_impls=sanitize_impls, trace_dir=trace_dir,
             order_seed=order_seed,
@@ -306,7 +306,7 @@ def _run_sweep(
     chaos: int,
     chaos_seed: int,
     render: bool,
-    workers: Optional[Sequence[str]],
+    workers: Optional[str],
     cache: ArtifactStore,
     events: EventLog,
     bench_out: Optional[Path],
@@ -321,8 +321,9 @@ def _run_sweep(
     events.emit("sweep-start", suite=suite)
 
     # wall profiles steer the local pool's LPT ordering; remote lease order
-    # is the coordinator's (priority + locality).  Seeded from the committed
-    # BENCH_fleet.json so even a fresh checkout knows its tail jobs.
+    # is the coordinator's (priority, then submission order).  Seeded from
+    # the committed BENCH_fleet.json so even a fresh checkout knows its
+    # tail jobs.
     profiles: Optional[ProfileStore] = None
     if not workers:
         seed_json = Path(bench_out) if bench_out is not None else Path(BENCH_OUT)
@@ -441,7 +442,7 @@ def _run_sweep(
         "jobs": pool.requested_jobs,
         # requested concurrency clamped to usable CPUs (the jobs are
         # CPU-bound; oversubscribing only inflates per-job walls) -- or, on
-        # a remote sweep, the live workers observed at the coordinators
+        # a remote sweep, the live workers observed at the coordinator
         "workers": observed_workers,
         "counts": pool.summary(),
         "cache": cache.describe(),

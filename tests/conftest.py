@@ -14,6 +14,12 @@ def pytest_addoption(parser):
                      help="two fleet cache roots whose objects must match")
     parser.addoption("--compare-reports", nargs=2, metavar=("LHS", "RHS"),
                      help="two report directories whose *.txt must match")
+    # ... and check what one sweep wrote to BENCH_fleet.json
+    parser.addoption("--sweep-summary", metavar="PATH",
+                     help="a sweep's BENCH_fleet.json: render lead, packing")
+    parser.addoption("--chaos-summary", metavar="PATH",
+                     help="a remote --chaos sweep's BENCH_fleet.json: "
+                     "the drill happened and no job was lost")
 
 
 @pytest.fixture

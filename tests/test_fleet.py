@@ -464,6 +464,20 @@ def test_cli_fleet_run_local_then_cache_hit(tmp_path, capsys):
     assert ": ok (cache hit) in " in capsys.readouterr().out
 
 
+def test_cli_fleet_run_local_honours_timeout(tmp_path, capsys):
+    from repro.cli import main
+
+    # a full-scale small_messages run takes seconds; the limit stops it
+    argv = ["fleet", "run", "small_messages", "--timeout", "1",
+            "--retries", "0", "--cache", str(tmp_path / "cache")]
+    started = time.monotonic()
+    assert main(argv) == 1
+    assert time.monotonic() - started < 10.0
+    out = capsys.readouterr().out
+    assert ": failed in " in out
+    assert "ERROR timeout: exceeded 1.0s wall-clock limit" in out
+
+
 # ------------------------------------------------------------------ sweeps
 
 def test_collect_mode_raises_collect_only():

@@ -9,15 +9,16 @@ Three layers of test:
 * **coordinator** -- the lease/heartbeat state machine driven with an
   injected fake clock: renewal, expiry -> steal, bounded worker loss ->
   ``worker-lost`` failure, reported-failure retry/backoff, ``after``
-  holds, interactive priority, ``reset``, the code-version handshake,
-  and the deterministic chaos-kill schedule.
+  holds, interactive priority, a failed digest resubmitted running
+  again, the drain rule, the code-version handshake, and the
+  deterministic chaos-kill schedule.
 * **end-to-end** -- real worker *processes* (fork) against an in-process
   coordinator + store: a two-worker sweep whose artifacts are
   byte-identical to the fork pool's, chaos SIGKILLing a live worker
   mid-lease with the job stolen and completed by the survivor, a pool
-  returning while another client's job still runs, and
-  ``run_sweep(workers=...)`` over the synthetic bench suite matching a
-  local sweep object-for-object.
+  returning while another client's job still runs, two drained sweeps
+  sharing one long-lived coordinator, and ``run_sweep(workers=...)`` over
+  the synthetic bench suite matching a local sweep object-for-object.
 
 Workers in the chaos tests must be OS processes (the kill directive is a
 self-SIGKILL); everything else keeps servers in daemon threads.
@@ -128,7 +129,9 @@ def test_parse_endpoint_forms():
     assert parse_endpoint("http://h:8750/").address == "h:8750"
 
 
-@pytest.mark.parametrize("bad", ["nohost", "h:", "h:not-a-port", "http://h/"])
+@pytest.mark.parametrize(
+    "bad", ["nohost", "h:", "h:not-a-port", "http://h/", "a:1,b:2"]
+)
 def test_parse_endpoint_rejects_malformed(bad):
     with pytest.raises(ValueError):
         parse_endpoint(bad)
@@ -464,17 +467,22 @@ def test_interactive_priority_leases_ahead_of_sweep_rows(pinned_version):
     assert leased == [urgent.digest, tool.digest, cheap.digest]
 
 
-def test_reset_then_resubmit_runs_again(pinned_version):
-    coord = make_coordinator(FakeClock())
+def test_failed_job_runs_again_when_resubmitted(pinned_version):
+    """Failures are never cached: a later sweep resubmitting a digest
+    whose run failed gets a fresh run, not the old failure back."""
+    coord = make_coordinator(FakeClock(), retries=0)
     (spec,) = make_specs(1)
     coord.submit_jobs({"jobs": job_rows([spec])})
     job = coord.lease("w1", code_version())["job"]
-    coord.result(job["lease"], ok_artifact(spec))
-    assert coord.control("reset") == {"ok": True, "jobs": 0}
+    coord.result(job["lease"], failure_artifact(spec, "RuntimeError", "boom"))
+    assert coord.status()["failed"] == 1
     again = coord.submit_jobs({"jobs": job_rows([spec])})
     assert again["accepted"] == 1 and again["done"] == []
     rerun = coord.lease("w1", code_version())["job"]
     assert rerun["digest"] == spec.digest and rerun["attempt"] == 1
+    assert coord.result(rerun["lease"], ok_artifact(spec))["ok"]
+    assert coord.status()["completed"] == 1
+    assert coord.status()["failed"] == 0
 
 
 def test_code_version_handshake_refuses_mismatched_worker(pinned_version):
@@ -514,14 +522,23 @@ def test_chaos_kill_schedule_is_deterministic(pinned_version):
 
 def test_drain_sends_idle_workers_home(pinned_version):
     coord = make_coordinator(FakeClock())
-    (spec,) = make_specs(1)
+    spec, later = make_specs(2)
     coord.submit_jobs({"jobs": job_rows([spec])})
     job = coord.lease("w1", code_version())["job"]
+    assert coord.lease("w2", code_version())["job"] is None  # seen, idle
     coord.control("drain")
     # jobs outstanding: polling workers keep waiting
     assert coord.lease("w2", code_version())["shutdown"] is False
     coord.result(job["lease"], ok_artifact(spec))
     assert coord.lease("w2", code_version())["shutdown"] is True
+    # each is sent home once: w2 restarted under the same id stays
+    assert coord.lease("w2", code_version())["shutdown"] is False
+    # a worker first seen after the drain is not sent home
+    assert coord.lease("w3", code_version())["shutdown"] is False
+    assert coord.status()["draining"]
+    # the next sweep's batch ends the drain
+    coord.submit_jobs({"jobs": job_rows([later])})
+    assert not coord.status()["draining"]
 
 
 # ------------------------------------------------------------- end to end
@@ -579,7 +596,7 @@ def test_remote_pool_returns_once_its_own_jobs_resolve(
         other = RunSpec.make("other-sweep", params={"gate": str(gate)})
         coord.submit_jobs({"jobs": job_rows([other])})
         (mine,) = make_specs(1)
-        pool = RemotePool([coord.address], retries=0, poll_interval=0.02)
+        pool = RemotePool(coord.address, retries=0, poll_interval=0.02)
         pool.submit(mine, priority=-1)
         box: dict = {}
         pool_thread = threading.Thread(
@@ -612,21 +629,26 @@ def test_remote_pool_starts_at_the_feed_end(pinned_version):
     sweeps' history: its feed cursor starts at the length ``/health``
     reports, and it ingests only its own sweep's records."""
     (spec,) = make_specs(1)
-    coord = FleetCoordinator(lease_timeout=5.0).start()
+    coord = FleetCoordinator(lease_timeout=5.0, retries=0).start()
     worker_thread = None
     try:
-        # an earlier sweep ran the same spec; ``reset`` keeps its events
+        # an earlier sweep's run of the same spec failed; its events stay
+        # in the feed, and resubmitting the digest runs it again
         coord.submit_jobs({"jobs": job_rows([spec])})
         lease = coord.lease("w-old", code_version())["job"]["lease"]
-        assert coord.result(lease, ok_artifact(spec))["ok"]
-        coord.control("reset")
+        boom = failure_artifact(spec, "RuntimeError", "boom")
+        assert coord.result(lease, boom)["ok"]
+        assert coord.status()["failed"] == 1
         history = len(coord._events)
         assert coord.health()["feed"] == history > 0
 
-        pool = RemotePool([coord.address], retries=0, poll_interval=0.02)
+        pool = RemotePool(coord.address, retries=0, poll_interval=0.02)
         paths: list[str] = []
-        get = pool._get
-        pool._get = lambda endpoint, path: paths.append(path) or get(endpoint, path)
+        request = pool._request
+        pool._request = (
+            lambda method, path, payload=None:
+            paths.append(path) or request(method, path, payload)
+        )
         pool.submit(spec)
         worker = FleetWorker(
             coord.address, worker_id="w0", executor=_stub_ok,
@@ -649,6 +671,45 @@ def test_remote_pool_starts_at_the_feed_end(pinned_version):
         coord.shutdown()
 
 
+def test_two_sweeps_share_one_coordinator(pinned_version):
+    """A drain ends with its sweep: a worker that starts after one sweep
+    drained a long-lived coordinator, and polls its empty queue before the
+    next sweep's batch lands, stays to serve that next sweep."""
+    first, second = make_specs(2)
+    coord = FleetCoordinator(lease_timeout=1.0).start()
+    threads: list[threading.Thread] = []
+
+    def start_worker(worker_id: str) -> threading.Thread:
+        worker = FleetWorker(
+            coord.address, worker_id=worker_id, executor=_stub_ok,
+            poll_interval=0.02, log=lambda m: None,
+        )
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        threads.append(thread)
+        return thread
+
+    def sweep(spec: RunSpec) -> dict:
+        pool = RemotePool(coord.address, retries=0, drain=True,
+                          poll_interval=0.02, worker_grace=2.0)
+        pool.submit(spec)
+        return pool.run()[spec.digest]
+
+    try:
+        w1 = start_worker("w1")
+        assert sweep(first)["status"] == "ok"
+        w1.join(10)
+        assert not w1.is_alive()  # sweep 1's drain sent its worker home
+        start_worker("w2")
+        time.sleep(0.3)  # w2 polls the drained, empty queue
+        assert sweep(second)["status"] == "ok"
+    finally:
+        coord.control("drain")
+        for thread in threads:
+            thread.join(10)
+        coord.shutdown()
+
+
 def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
     specs = make_specs(6)
 
@@ -666,7 +727,7 @@ def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
     workers = []
     try:
         pool = RemotePool(
-            [coord.address], store=HTTPStore(server.url), retries=0,
+            coord.address, store=HTTPStore(server.url), retries=0,
             drain=True,
         )
         for spec in specs:
@@ -711,7 +772,7 @@ def test_chaos_kills_worker_job_stolen_and_completed(tmp_path, pinned_version):
     workers = []
     try:
         pool = RemotePool(
-            [coord.address], store=HTTPStore(server.url), retries=1,
+            coord.address, store=HTTPStore(server.url), retries=1,
             chaos_kills=2, chaos_seed=0, drain=True, worker_grace=30.0,
         )
         for spec in specs:
@@ -811,7 +872,7 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         store = HTTPStore(server.url)
         log = EventLog()
         summary = run_sweep(
-            suite="bench", retries=0, workers=[coord.address], cache=store,
+            suite="bench", retries=0, workers=coord.address, cache=store,
             bench_out=tmp_path / "BENCH_remote.json", events=log,
         )
         worker.join(20)
@@ -843,7 +904,7 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         # shared store: all cache hits, no worker needed
         shutil.rmtree(reports)
         warm = run_sweep(
-            suite="bench", retries=0, workers=[coord.address], cache=store,
+            suite="bench", retries=0, workers=coord.address, cache=store,
             bench_out=None,
         )
         assert warm["counts"]["cached"] == warm["counts"]["specs"]
