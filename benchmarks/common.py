@@ -48,13 +48,8 @@ def emit(name: str, text: str) -> None:
 
 def once(benchmark, fn: Callable):
     """Run an experiment exactly once under the benchmark timer (the
-    workloads are deterministic; repetition only wastes wall time)."""
-    if FLEET_COLLECT is not None:
-        # opaque bench body: nothing fleet-routed to collect -- the sweep
-        # warms this bench's render spec instead of re-running it serially
-        from repro.fleet import CollectOnly
-
-        raise CollectOnly("opaque bench body", opaque=True)
+    workloads are deterministic; repetition only wastes wall time).  In
+    collect mode the sweep's timer raises CollectOnly instead."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)
 
 

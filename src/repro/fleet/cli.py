@@ -15,9 +15,9 @@ The three service commands make up the distributed topology::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
@@ -104,8 +104,6 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                        "workers mid-lease (steal/retry drill)")
     sweep.add_argument("--chaos-seed", type=int, default=0,
                        help="seed for the deterministic chaos kill schedule")
-    sweep.add_argument("--no-render", action="store_true",
-                       help="warm the cache only; skip report regeneration")
     sweep.add_argument("--workers", type=_endpoint, metavar="HOST:PORT",
                        help="run the sweep over the remote workers attached "
                        "to this coordinator (repro fleet serve) instead of "
@@ -215,6 +213,14 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
     _add_token_flag(worker)
 
 
+def _speedup(phase: Optional[dict], label: str) -> str:
+    """``; LABEL ~Nx``: a critical-path phase's busy worker-seconds over
+    its wall clock, or nothing when the phase executed no job."""
+    if not phase or not phase["busy"] or phase["wall"] <= 0:
+        return ""
+    return f"; {label} ~{round(phase['busy'] / phase['wall'], 2)}x"
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _export_token(args.token)
     cache = _resolve_store(args.store or args.cache)
@@ -226,7 +232,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         retries=args.retries,
         chaos=args.chaos,
         chaos_seed=args.chaos_seed,
-        render=not args.no_render,
         workers=args.workers,
         cache=cache,
         bench_out=bench_out,
@@ -240,8 +245,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache_stats = summary["cache"]
     render_info = summary["render"]
     collect_info = summary["collect"]
+    phases = summary["critical_path"]["phases"]
     print(
-        f"# fleet sweep [{summary['suite']}] on {summary.get('workers', summary['jobs'])} worker(s): "
+        f"# fleet sweep [{summary['suite']}] on {summary['workers']} worker(s): "
         f"{counts['specs']} jobs -> {counts['completed']} completed, "
         f"{counts['cached']} cache hits, {counts['failed']} failed"
     )
@@ -249,22 +255,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"# render: {render_info['skipped']} skipped + "
         f"{render_info['rendered']} rendered of {render_info['benches']} "
         f"bench(es), {render_info['failed']} failed"
-        + (
-            f"; speedup vs serial ~{render_info['speedup_vs_serial']}x"
-            if render_info["speedup_vs_serial"]
-            else ""
-        )
+        + _speedup(phases.get("render"), "speedup vs serial")
     )
     print(
         f"# wall: collect {summary['wall']['collect']}s + warm "
         f"{summary['wall']['warm']}s + render "
         f"{summary['wall']['render']}s; cache hit rate "
         f"{cache_stats['hit_rate']:.0%}"
-        + (
-            f"; warm speedup vs serial ~{summary['speedup_vs_serial']}x"
-            if summary["speedup_vs_serial"]
-            else ""
-        )
+        + _speedup(phases.get("warm"), "warm speedup vs serial")
     )
     remote = summary.get("remote")
     if remote:
@@ -350,6 +348,27 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if status == "ok" else 1
 
 
+def _last_sweep(records: list[dict]) -> Optional[str]:
+    """The last sweep in an event log, from its ``sweep-start`` record and
+    the pool's ``sweep-summary`` after it; ``None`` if none ever started."""
+    starts = [i for i, r in enumerate(records) if r["event"] == "sweep-start"]
+    if not starts:
+        return None
+    sweep = records[starts[-1]:]
+    start = sweep[0]
+    when = datetime.fromtimestamp(start["t"], timezone.utc)
+    line = (f"# last sweep [{start.get('suite')}] at "
+            f"{when.isoformat(timespec='seconds')}: ")
+    done = next((r for r in sweep if r["event"] == "sweep-summary"), None)
+    if done is None:
+        return line + "no sweep-summary (still running, or interrupted)"
+    return line + (
+        f"{done['specs']} jobs, {done['completed']} completed, "
+        f"{done['cached']} cached, {done['failed']} failed, "
+        f"wall {done['t'] - start['t']:.3f}s"
+    )
+
+
 def _cmd_status(args: argparse.Namespace) -> int:
     if args.events < 0:
         print(f"fleet status: --events must be >= 0, got {args.events}",
@@ -359,16 +378,7 @@ def _cmd_status(args: argparse.Namespace) -> int:
     info = cache.describe()
     print(f"# fleet cache at {info['root']}: {info['objects']} artifact(s), "
           f"{info['size_bytes'] / 1024:.1f} KiB")
-    bench_out = Path(BENCH_OUT)
-    if bench_out.exists():
-        last = json.loads(bench_out.read_text())
-        counts = last.get("counts", {})
-        print(
-            f"# last sweep [{last.get('suite')}] at {last.get('generated_at')}: "
-            f"{counts.get('specs')} jobs, {counts.get('completed')} completed, "
-            f"{counts.get('cached')} cached, {counts.get('failed')} failed, "
-            f"wall {last.get('wall', {}).get('total')}s"
-        )
+    # a remote store keeps no event log, so it has no last-sweep line
     events_path = getattr(cache, "events_path", None)
     if events_path is not None:
         try:
@@ -378,6 +388,9 @@ def _cmd_status(args: argparse.Namespace) -> int:
                   f"truncated mid-record ({exc}); re-run the sweep or repair "
                   "the log", file=sys.stderr)
             return 1
+        last = _last_sweep(records)
+        if last is not None:
+            print(last)
         for record in records[-args.events:] if args.events else ():
             extras = {k: v for k, v in record.items() if k not in ("t", "event")}
             print(f"  {record['t']:.3f} {record['event']:<12} "

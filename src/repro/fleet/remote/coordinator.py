@@ -6,7 +6,7 @@ that makes cross-machine work-stealing safe:
 
     =========================  ================================================
     ``GET  /health``           liveness: worker/queue/terminal counts, feed length
-    ``GET  /status``           full counters (per-worker jobs, steals, retries)
+    ``GET  /status``           job counts plus :func:`tally` over the whole feed
     ``POST /jobs``             submit a batch of specs (the sweep driver)
     ``POST /lease``            pull one job (workers); registers the worker
     ``POST /heartbeat``        renew a lease; ``ok: false`` = lease was stolen
@@ -41,6 +41,11 @@ Chaos drills: armed with ``chaos_kills``, the coordinator deterministically
 SIGKILLs itself mid-lease, which exercises expiry -> steal -> retry end to
 end.  A kill is only issued while a second live worker remains, so the
 drill can never strand the queue.
+
+The feed is the only record of what happened: :func:`tally` counts steals,
+retries, worker losses, chaos kills and per-worker leases from feed
+records, so ``/status`` (the whole feed, lifetime totals) and a sweep's
+``remote`` block (that sweep's own records) are one computation.
 """
 
 from __future__ import annotations
@@ -51,16 +56,49 @@ import time
 import uuid
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
+from urllib.parse import parse_qs, urlparse
 
 from ..execute import failure_artifact  # noqa: F401  (re-exported for workers)
 from ..scheduler import DONE, PENDING, RUNNING, JobGraph
 from ..spec import RunSpec, code_version
 from .wire import BackgroundServer, JsonRequestHandler
 
-__all__ = ["FleetCoordinator", "DEFAULT_LEASE_TIMEOUT"]
+__all__ = ["FleetCoordinator", "DEFAULT_LEASE_TIMEOUT", "tally"]
 
 DEFAULT_LEASE_TIMEOUT = 15.0
+
+
+def tally(records: Iterable[dict]) -> dict:
+    """Remote-pool counters over coordinator feed records: ``steals``,
+    ``retries``, ``worker_losses``, ``chaos_kills``, ``store_hits``, and
+    per-worker ``jobs`` (leases taken), ``store_hits`` and ``lost`` leases
+    for every worker a record names -- over the whole feed that includes
+    idle workers (``worker-joined``); a sweep's slice holds only its own
+    jobs' records, so it names only the workers that served it."""
+    events: Counter = Counter()
+    workers: dict[str, dict] = {}
+    for record in records:
+        event = record.get("event")
+        events[event] += 1
+        name = record.get("worker")
+        if name is None:
+            continue
+        row = workers.setdefault(name, {"jobs": 0, "store_hits": 0, "lost": 0})
+        if event == "started":
+            row["jobs"] += 1
+        elif event == "lease-expired":
+            row["lost"] += 1
+        elif event == "completed" and record.get("store_hit"):
+            row["store_hits"] += 1
+    return {
+        "steals": events["stolen"],
+        "retries": events["retry"],
+        "worker_losses": events["lease-expired"],
+        "chaos_kills": events["chaos-kill"],
+        "store_hits": sum(row["store_hits"] for row in workers.values()),
+        "workers": workers,
+    }
 
 
 @dataclass
@@ -84,15 +122,6 @@ class _Lease:
     digest: str
     worker: str
     expires_at: float
-
-
-@dataclass
-class _Worker:
-    worker_id: str
-    last_seen: float
-    jobs: int = 0
-    store_hits: int = 0
-    lost: int = 0
 
 
 class FleetCoordinator(BackgroundServer):
@@ -131,16 +160,13 @@ class FleetCoordinator(BackgroundServer):
         self._lock = threading.Lock()
         self._jobs: dict[str, _Job] = {}
         self._leases: dict[str, _Lease] = {}
-        self._workers: dict[str, _Worker] = {}
+        #: worker id -> when it last leased or heartbeated
+        self._workers: dict[str, float] = {}
         self._events: list[dict] = []
         #: workers seen when ``drain`` was posted: each is sent home at its
         #: next idle lease; a worker first seen later stays, and the next
         #: ``/jobs`` batch ends the drain
         self._drained: set[str] = set()
-        self.steals = 0
-        self.retried = 0
-        self.worker_losses = 0
-        self.chaos_kills = 0
         self._chaos_armed = 0
         self._chaos_rng = random.Random(0)
         self._chaos_victims: set[str] = set()
@@ -215,8 +241,8 @@ class FleetCoordinator(BackgroundServer):
         # could arm a second kill against the only surviving worker
         horizon = now - self.lease_timeout
         return sum(
-            1 for w in self._workers.values()
-            if w.last_seen >= horizon and w.worker_id not in self._chaos_victims
+            1 for worker, last_seen in self._workers.items()
+            if last_seen >= horizon and worker not in self._chaos_victims
         )
 
     def lease(self, worker_id: str, worker_version: Optional[str] = None) -> dict:
@@ -230,11 +256,9 @@ class FleetCoordinator(BackgroundServer):
                     "coordinator": code_version(),
                     "worker": worker_version,
                 }
-            worker = self._workers.get(worker_id)
-            if worker is None:
-                worker = self._workers[worker_id] = _Worker(worker_id, now)
+            if worker_id not in self._workers:
                 self._emit("worker-joined", worker=worker_id)
-            worker.last_seen = now
+            self._workers[worker_id] = now
             digest = self._graph.pop(now)
             if digest is None:
                 shutdown = worker_id in self._drained and not self._graph.unfinished
@@ -263,7 +287,6 @@ class FleetCoordinator(BackgroundServer):
                     chaos = "kill"
                     job.chaos_killed = True
                     self._chaos_armed -= 1
-                    self.chaos_kills += 1
                     self._chaos_victims.add(worker_id)
                     self._emit("chaos-kill", digest=job.digest, job=job.label,
                                worker=worker_id, attempt=attempt)
@@ -290,7 +313,7 @@ class FleetCoordinator(BackgroundServer):
         with self._lock:
             self._expire_leases(now)
             if worker_id and worker_id in self._workers:
-                self._workers[worker_id].last_seen = now
+                self._workers[worker_id] = now
             lease = self._leases.get(lease_id)
             if lease is None:
                 return {"ok": False}  # stolen or already finished: abandon
@@ -310,12 +333,8 @@ class FleetCoordinator(BackgroundServer):
                 # drop it, the steal path owns the job now
                 return {"ok": False}
             job = self._jobs[lease.digest]
-            worker = self._workers.get(lease.worker)
-            if worker is not None:
-                worker.last_seen = now
-                worker.jobs += 1
-                if store_hit:
-                    worker.store_hits += 1
+            if lease.worker in self._workers:
+                self._workers[lease.worker] = now
             job.wall += float(wall or 0.0)
             if trace:
                 # the relay must precede the terminal/retry record: a live
@@ -328,7 +347,6 @@ class FleetCoordinator(BackgroundServer):
                 self._finish(job, "completed", artifact, cached=store_hit,
                              worker=lease.worker)
             elif (delay := self._graph.retry(job.digest, now)) is not None:
-                self.retried += 1
                 error = (artifact.get("error") or {}).get("type", "error")
                 self._emit("retry", digest=job.digest, job=job.label,
                            attempt=job.node.attempts, error=error,
@@ -365,10 +383,6 @@ class FleetCoordinator(BackgroundServer):
                 continue
             del self._leases[lease_id]
             job = self._jobs.get(lease.digest)
-            worker = self._workers.get(lease.worker)
-            if worker is not None:
-                worker.lost += 1
-            self.worker_losses += 1
             if job is None or job.node.state != RUNNING:  # pragma: no cover - defensive
                 continue
             job.steals += 1
@@ -384,7 +398,6 @@ class FleetCoordinator(BackgroundServer):
                 )
                 self._finish(job, "failed", artifact, worker=lease.worker)
                 continue
-            self.steals += 1
             self._graph.requeue(job.digest)
             self._emit("stolen", digest=job.digest, job=job.label,
                        worker=lease.worker, attempt=attempt)
@@ -395,6 +408,7 @@ class FleetCoordinator(BackgroundServer):
         now = self._clock()
         with self._lock:
             self._expire_leases(now)
+            cursor = max(0, min(int(cursor), len(self._events)))
             events = self._events[cursor:]
             done = bool(self._jobs) and not self._graph.unfinished
             return {"events": events, "cursor": cursor + len(events),
@@ -418,25 +432,15 @@ class FleetCoordinator(BackgroundServer):
             }
 
     def status(self) -> dict:
+        """``GET /status``: job counts and :func:`tally` over the whole
+        feed -- the lifetime totals of a long-lived coordinator."""
         with self._lock:
-            completed = sum(
-                1 for j in self._jobs.values() if j.status == "completed"
-            )
-            failed = sum(1 for j in self._jobs.values() if j.status == "failed")
+            states = Counter(job.status for job in self._jobs.values())
             return {
                 "jobs": len(self._jobs),
-                "completed": completed,
-                "failed": failed,
-                "steals": self.steals,
-                "retries": self.retried,
-                "worker_losses": self.worker_losses,
-                "chaos_kills": self.chaos_kills,
-                "store_hits": sum(w.store_hits for w in self._workers.values()),
-                "workers": {
-                    w.worker_id: {"jobs": w.jobs, "store_hits": w.store_hits,
-                                  "lost": w.lost}
-                    for w in self._workers.values()
-                },
+                "completed": states["completed"],
+                "failed": states["failed"],
+                **tally(self._events),
                 "lease_timeout": self.lease_timeout,
                 "draining": bool(self._drained),
             }
@@ -457,20 +461,19 @@ class _CoordinatorHandler(JsonRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def do_GET(self) -> None:
-        if self.path == "/health":
+        parsed = urlparse(self.path)
+        if parsed.path == "/health":
             # liveness stays open (probes, worker discovery)
             self.send_json(200, self.coord.health())
         elif not self._authorized():
             return
-        elif self.path == "/status":
+        elif parsed.path == "/status":
             self.send_json(200, self.coord.status())
-        elif self.path.startswith("/events"):
-            cursor = 0
-            if "cursor=" in self.path:
-                try:
-                    cursor = int(self.path.rsplit("cursor=", 1)[1].split("&")[0])
-                except ValueError:
-                    cursor = 0
+        elif parsed.path == "/events":
+            try:
+                cursor = int(parse_qs(parsed.query).get("cursor", ["0"])[0])
+            except ValueError:
+                cursor = 0
             self.send_json(200, self.coord.events_since(cursor))
         else:
             self.send_json(404, {"error": "unknown endpoint"})

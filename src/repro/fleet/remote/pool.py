@@ -16,8 +16,9 @@ The driver:
    row carrying its ``after`` producers so the coordinator's
    :class:`~repro.fleet.scheduler.JobGraph` holds a render until the
    artifacts it consumes are terminal;
-3. polls the coordinator's event feed, re-emitting lifecycle records
-   into the sweep's :class:`EventLog` with the *coordinator's* timestamps
+3. polls the coordinator's event feed, re-emitting its own jobs'
+   lifecycle records into the sweep's :class:`EventLog` (never another
+   driver's jobs or a worker joining) with the *coordinator's* timestamps
    preserved -- so ``observe`` swimlanes and critical-path analysis see
    the same ``queued/started/retry/stolen/completed`` stream a local
    sweep produces;
@@ -100,10 +101,6 @@ class RemotePool:
         self.poll_interval = poll_interval
         self.worker_grace = worker_grace
         self.trace_dir = Path(trace_dir) if trace_dir is not None else None
-        # FleetScheduler-compatible surface: observed worker concurrency
-        # (refined from coordinator health once the sweep is running)
-        self.requested_jobs = 1
-        self.jobs = 1
         self._submitted: dict[str, tuple[RunSpec, int, tuple]] = {}
         self.results: dict[str, dict] = {}
         self.outcomes: dict[str, JobOutcome] = {}
@@ -146,11 +143,8 @@ class RemotePool:
         ``{digest: artifact}``.  Job failures become failure artifacts,
         never exceptions -- same contract as the fork pool."""
         pending = self._store_precheck()
-        self.refresh_worker_count()
-        self.events.emit(
-            "pool-start", workers=self.jobs, requested=self.requested_jobs,
-            queued=len(pending), remote=True,
-        )
+        # the live merger holds its seal behind open remote jobs
+        self.events.emit("pool-start", remote=True)
         if pending:
             self._poll(self._submit(pending))
         summary = self.summary()
@@ -252,8 +246,10 @@ class RemotePool:
     def _ingest(self, record: dict) -> None:
         event = record.get("event")
         digest = record.get("digest")
-        if digest is not None and digest not in self._submitted:
-            return  # another driver's job on a shared coordinator
+        if digest not in self._submitted:
+            # another driver's job on a shared coordinator, or a worker
+            # joining it: this sweep's slice holds only its own jobs
+            return
         if event == "trace":
             # a remote worker's mirror tail: land it as a mirror *file*
             # (not a log record) so the trace merge and the live tailer
@@ -265,8 +261,6 @@ class RemotePool:
         clean = {k: v for k, v in record.items()
                  if k not in _STRIP_FIELDS and k not in ("t", "event")}
         self.events.emit(event, t=record.get("t"), **clean)
-        if digest is None:
-            return
         outcome = self.outcomes[digest]
         if event == "started":
             outcome.attempts = max(outcome.attempts,
@@ -338,30 +332,3 @@ class RemotePool:
 
     def summary(self) -> dict:
         return summarize_outcomes(self.outcomes.values())
-
-    def remote_summary(self) -> dict:
-        """BENCH_fleet.json's ``remote`` section: the coordinator's
-        ``/status`` body (per-worker job counts, steals, retries, store
-        hits -- lifetime totals), plus its endpoint and the store's stats."""
-        try:
-            summary = self._request("GET", "/status")
-        except WireError:
-            summary = {"unreachable": True}
-        summary["endpoint"] = self.endpoint.address
-        if summary.get("workers"):
-            self.jobs = max(self.jobs, len(summary["workers"]))
-        if self.store is not None:
-            summary["store"] = self.store.describe()
-        return summary
-
-    def refresh_worker_count(self) -> int:
-        """Observed live-worker concurrency (feeds swimlane/critical-path
-        analysis the way the fork pool's ``jobs`` does)."""
-        try:
-            alive = int(self._request("GET", "/health").get("workers", 0))
-        except WireError:
-            alive = 0
-        if alive:
-            self.jobs = alive
-            self.requested_jobs = max(self.requested_jobs, alive)
-        return self.jobs

@@ -17,11 +17,10 @@ experiment runs:
 * stale benches execute as parallel scheduler jobs, each wrapped in a
   ``render.bench`` flight-recorder span, reports captured in-memory and
   written by the parent (one writer, no cross-process races);
-* **opaque bench bodies** (benches timing work directly via ``once()`` /
-  the benchmark fixture, with nothing fleet-routed to collect) consume
-  nothing, so their render spec starts at once, alongside the experiment
-  runs: their heavy work is warmed and cached in parallel instead of
-  re-executed serially at every render.
+* a bench body that times its work directly (``once()`` / the benchmark
+  fixture) has nothing fleet-routed to collect: it consumes nothing, so
+  its render spec starts at once, alongside the experiment runs, and its
+  work is cached with its reports instead of re-run at every render.
 
 Collection failures are first-class here: a bench that raises while being
 collected lands in :attr:`RenderPlan.failures` instead of being silently
@@ -56,16 +55,7 @@ __all__ = [
 
 
 class CollectOnly(Exception):
-    """Raised by the bench harness in collect mode instead of executing.
-
-    ``opaque`` marks a bench body the harness cannot see into (it uses the
-    timer directly rather than the fleet-routed ``pc_figure``): its render
-    spec carries no consumed-artifact digests and is warmed eagerly.
-    """
-
-    def __init__(self, *args, opaque: bool = False) -> None:
-        super().__init__(*args)
-        self.opaque = opaque
+    """Raised by the bench harness in collect mode instead of executing."""
 
 
 class StubTimer:
@@ -83,16 +73,16 @@ class CollectTimer(StubTimer):
 
     Benches that route work through ``pc_figure`` raise :class:`CollectOnly`
     before ever touching the timer; for everything else the body *is* the
-    work, so the moment it asks the timer to run something we bail out and
-    mark the bench opaque -- its heavy work then runs once, in a pool
-    worker, instead of inline during collection.
+    work, so the moment it asks the timer to run something we bail out --
+    its work then runs once, in its render job, instead of inline during
+    collection.
     """
 
     def pedantic(self, fn, rounds=1, iterations=1):
-        raise CollectOnly("opaque bench body", opaque=True)
+        raise CollectOnly("timed bench body")
 
     def __call__(self, fn, *args, **kwargs):
-        raise CollectOnly("opaque bench body", opaque=True)
+        raise CollectOnly("timed bench body")
 
 
 @dataclass(frozen=True)
@@ -104,8 +94,6 @@ class BenchEntry:
     spec: RunSpec
     #: digests of the warm-phase artifacts the bench consumes (collect mode)
     consumes: tuple = ()
-    #: body invisible to collection; render spec is warmed eagerly
-    opaque: bool = False
 
     @property
     def target(self) -> str:
@@ -253,19 +241,15 @@ def collect_render_plan() -> RenderPlan:
                     continue
                 fn = getattr(module, name)
                 before = len(collected)
-                opaque = False
                 try:
                     fn(CollectTimer())
-                except CollectOnly as exc:
-                    opaque = exc.opaque
+                except CollectOnly:
+                    pass
                 except Exception as exc:  # noqa: BLE001 - containment
                     plan.failures.append(
                         (f"{path.stem}::{name}", f"{type(exc).__name__}: {exc}")
                     )
                     continue
-                # a body that returns without touching the timer or the
-                # fleet has nothing to consume; treat it like an opaque run
-                opaque = opaque or len(collected) == before
                 consumes = tuple(
                     sorted({s.digest for s in collected[before:]})
                 )
@@ -275,7 +259,6 @@ def collect_render_plan() -> RenderPlan:
                         test=name,
                         spec=_render_spec(path.stem, name, sources, consumes),
                         consumes=consumes,
-                        opaque=opaque,
                     )
                 )
     finally:

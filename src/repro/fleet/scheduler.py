@@ -417,10 +417,9 @@ class FleetScheduler:
 
         active: list[_Active] = []
         queued = self.graph.unfinished
-        self.events.emit(
-            "pool-start", workers=self.jobs, requested=self.requested_jobs,
-            queued=queued,
-        )
+        # the pool's width: the critical path and the swimlanes open a lane
+        # per slot, so a slot no job reached still counts as idle
+        self.events.emit("pool-start", workers=self.jobs)
         rec = _observe_active()
         if rec is not None:
             rec.begin("fleet.pool", workers=self.jobs, jobs=queued)

@@ -14,7 +14,7 @@ against the content-addressed cache:
    :class:`FleetScheduler`, or the :class:`~repro.fleet.remote.RemotePool`
    with ``--workers`` -- parallel, cached, failures contained.  A render
    is submitted ``after`` the artifacts it consumes and starts the moment
-   they are terminal; an opaque bench body has nothing to wait for.  An
+   they are terminal; a bench that consumes none starts at once.  An
    unchanged render key is a cache hit (the bench is skipped and its
    reports restored byte-identically), and the parent writes every
    captured report to ``benchmarks/reports/`` as the single writer.
@@ -141,7 +141,7 @@ def render_benchmarks() -> tuple[int, list[tuple[str, str]]]:
     return ran, failures
 
 
-def _restore_renders(plan: RenderPlan, pool, wall: float) -> dict:
+def _restore_renders(plan: RenderPlan, pool) -> dict:
     """Restore every captured report from the render artifacts and build
     the render summary -- the parent is the single writer of
     ``benchmarks/reports/``."""
@@ -166,21 +166,13 @@ def _restore_renders(plan: RenderPlan, pool, wall: float) -> dict:
             "bench": entry.target,
             "status": outcome.status,
             "cached": outcome.cached,
-            "opaque": entry.opaque,
             "wall": round(outcome.wall, 4),
         })
-    executed_wall = sum(o.wall for o in outcomes if o.status == "completed")
     return {
         "benches": len(plan.benches),
         "skipped": sum(1 for o in outcomes if o.status == "cached"),
         "rendered": sum(1 for o in outcomes if o.status == "completed"),
         "failed": sum(1 for o in outcomes if o.status == "failed"),
-        "wall": round(wall, 3),
-        # sum of per-bench worker wall over the phase's wall clock: how much
-        # the parallel cold render beat a serial one (None on a warm cache)
-        "speedup_vs_serial": (
-            round(executed_wall / wall, 2) if executed_wall and wall > 0 else None
-        ),
         "failures": [list(f) for f in failures],
         "per_bench": per_bench,
     }
@@ -194,7 +186,6 @@ def run_sweep(
     retries: int = 1,
     chaos: int = 0,
     chaos_seed: int = 0,
-    render: bool = True,
     workers: Optional[str] = None,
     cache: Optional[ArtifactStore] = None,
     events: Optional[EventLog] = None,
@@ -276,7 +267,7 @@ def run_sweep(
             )
         summary = _run_sweep(
             suite=suite, jobs=jobs, timeout=timeout, retries=retries,
-            chaos=chaos, chaos_seed=chaos_seed, render=render,
+            chaos=chaos, chaos_seed=chaos_seed,
             workers=workers, cache=cache,
             events=events, bench_out=bench_out,
             sanitize_impls=sanitize_impls, trace_dir=trace_dir,
@@ -305,7 +296,6 @@ def _run_sweep(
     retries: int,
     chaos: int,
     chaos_seed: int,
-    render: bool,
     workers: Optional[str],
     cache: ArtifactStore,
     events: EventLog,
@@ -370,44 +360,24 @@ def _run_sweep(
             pool.submit(spec, priority=priority)
         for entry in plan.benches:
             # a render is admitted the moment the artifacts it consumes are
-            # terminal; an opaque body consumes nothing and *is* its own
-            # experiment, so it is warmed even with --no-render
-            if render or entry.opaque:
-                pool.submit(entry.spec, priority=0, after=entry.consumes)
+            # terminal
+            pool.submit(entry.spec, priority=0, after=entry.consumes)
         pool.run()
 
-    # remote sweeps report the coordinator-side view (per-worker job counts,
-    # steals/retries, store hit rate); the worker count observed there also
-    # feeds the swimlane/critical-path analysis in place of the fork count
-    remote_info = None
-    observed_workers = pool.jobs
-    if workers:
-        remote_info = pool.remote_summary()
-        observed_workers = len(remote_info.get("workers") or {}) or pool.jobs
-
-    # what actually bounded the sweep's wall clock (observe subsystem); its
-    # warm and render windows are taken from the pool's job events
+    # what actually bounded the sweep's wall clock (observe subsystem),
+    # counted from this sweep's own records: its workers are the executors
+    # they name, its warm and render windows the job events'
     sweep_records = events.records[events_start:]
-    cpath = critical_path(sweep_records, workers=observed_workers)
+    cpath = critical_path(sweep_records)
     scheduling = cpath.pop("scheduling", None)
-    warm_wall = cpath["phases"].get("warm", {}).get("wall", 0.0)
-    render_wall = cpath["phases"].get("render", {}).get("wall", 0.0)
+    remote = None
+    if workers:
+        # the coordinator's counters over the same records: this sweep only
+        from .remote.coordinator import tally
 
-    render_summary = {
-        "benches": len(plan.benches), "skipped": 0, "rendered": 0,
-        "failed": 0, "wall": 0.0, "speedup_vs_serial": None,
-        "failures": [], "per_bench": [],
-    }
-    if render and plan.benches:
-        render_summary = _restore_renders(plan, pool, render_wall)
+        remote = {"endpoint": pool.endpoint.address, **tally(sweep_records)}
 
-    warm = [o for o in pool.outcomes.values() if phase_of(o.job) == "warm"]
-    executed_wall = sum(o.wall for o in warm if o.status == "completed")
-    speedup = (
-        round(executed_wall / warm_wall, 2)
-        if executed_wall and warm_wall > 0
-        else None
-    )
+    render_summary = _restore_renders(plan, pool)
 
     if profiles is not None and profiles.dirty:
         try:
@@ -432,21 +402,22 @@ def _run_sweep(
         for o in sorted(pool.outcomes.values(),
                         key=lambda o: (phase_of(o.job) == "render", -o.wall, o.job))
     ]
+    phases = cpath["phases"]
     summary = {
-        # schema 5: warm/render walls are job-event windows (the
-        # "pipeline" flag is gone: every sweep pipelines); schema 4 added
+        # schema 6: "workers" and "remote" are counted from the sweep's own
+        # records, and the speedups live only in critical_path (busy/wall);
+        # schema 5 made warm/render walls job-event windows, schema 4 added
         # "scheduling" and "profiles", schema 3 "remote" for --workers
-        "schema": 5,
+        "schema": 6,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "suite": suite,
-        "jobs": pool.requested_jobs,
-        # requested concurrency clamped to usable CPUs (the jobs are
-        # CPU-bound; oversubscribing only inflates per-job walls) -- or, on
-        # a remote sweep, the live workers observed at the coordinator
-        "workers": observed_workers,
+        # the local pool's requested concurrency (it runs at most the
+        # usable CPUs); a remote sweep's width is its workers'
+        "jobs": None if workers else pool.requested_jobs,
+        "workers": cpath["workers"],
         "counts": pool.summary(),
         "cache": cache.describe(),
-        "remote": remote_info,
+        "remote": remote,
         "collect": {
             "benches": len(plan.benches),
             "specs": len(plan.specs),
@@ -455,13 +426,10 @@ def _run_sweep(
         },
         "wall": {
             "collect": round(collect_wall, 3),
-            "warm": round(warm_wall, 3),
-            "render": render_summary["wall"],
+            "warm": phases.get("warm", {}).get("wall", 0.0),
+            "render": phases.get("render", {}).get("wall", 0.0),
             "total": round(time.monotonic() - t0, 3),
         },
-        # sum of per-job worker wall over the parallel phase's wall clock:
-        # ~N on an idle N-core box, ~1 on a warm cache (nothing executed)
-        "speedup_vs_serial": speedup,
         # blocking job chain + worker idle fraction + per-phase decomposition
         # (which phase bounds the sweep) -- repro.observe
         "critical_path": cpath,

@@ -59,8 +59,6 @@ def add_observe_parser(sub: argparse._SubParsersAction) -> None:
     )
     cpath.add_argument("--events", default=None, metavar="PATH",
                        help="fleet event log (default <cache>/events.jsonl)")
-    cpath.add_argument("--workers", type=int, default=None,
-                       help="worker count override (default: from the log)")
     cpath.add_argument("--json", action="store_true",
                        help="emit the machine-readable summary")
 
@@ -167,7 +165,7 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
               "(run `repro fleet sweep` first)", file=sys.stderr)
         return 1
     # the analysis resets at every sweep-start: this is the last sweep
-    summary = critical_path(records, workers=args.workers)
+    summary = critical_path(records)
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
     else:

@@ -11,7 +11,12 @@ derive what actually bounded the sweep's wall clock:
   The chain is the sweep's critical path under greedy scheduling: shorten
   any link and the makespan moves.
 * the **worker-idle fraction** -- ``1 - busy / (workers * makespan)``,
-  the headroom a better schedule (or more cache hits) could reclaim;
+  the headroom a better schedule (or more cache hits) could reclaim.
+  ``workers`` counts the sweep's lanes: every slot of a local fork pool
+  (:func:`pool_lanes`, from its ``pool-start``), whether or not a job
+  reached it, plus each executor a ``started`` record names
+  (:func:`lane_of`) -- on a remote sweep, the workers that served it, 0
+  when nothing ran;
 * the **speedup-vs-serial decomposition** -- executed worker-seconds over
   makespan, next to the job/cache-hit counts that explain it;
 * the **phase decomposition** -- *warm* and *render* are windows over the
@@ -27,11 +32,13 @@ renders it after the fact.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 __all__ = [
     "sweep_intervals",
     "phase_of",
+    "lane_of",
+    "pool_lanes",
     "critical_path",
     "render_critical_path",
     "IncrementalCriticalPath",
@@ -47,6 +54,19 @@ def phase_of(job: str) -> str:
     return "render" if job.startswith("render:") else "warm"
 
 
+def lane_of(record: dict) -> str:
+    """The executor a ``started`` record names: the ``worker`` of a remote
+    record, else ``slot-N`` for a local fork-pool slot."""
+    return record.get("worker") or f"slot-{record.get('slot', '?')}"
+
+
+def pool_lanes(record: dict) -> list[str]:
+    """The lanes a ``pool-start`` record opens: ``slot-0`` .. ``slot-N-1``
+    for a local fork pool of ``workers`` slots.  A remote pool opens none;
+    its workers become lanes as they start this sweep's jobs."""
+    return [f"slot-{n}" for n in range(record.get("workers") or 0)]
+
+
 class IncrementalCriticalPath:
     """Record-at-a-time consumer behind both analysis paths.
 
@@ -60,12 +80,12 @@ class IncrementalCriticalPath:
     appended-forever log tracks the most recent sweep.
     """
 
-    def __init__(self, *, workers: Optional[int] = None) -> None:
-        self._workers_override = workers
+    def __init__(self) -> None:
         self._reset()
 
     def _reset(self) -> None:
-        self.workers: Optional[int] = self._workers_override
+        #: the pool's slots and the executors ``started`` records name
+        self.lanes: set[str] = set()
         self._starts: dict[tuple, float] = {}
         self.intervals: list[dict] = []
         self.cached: list[dict] = []
@@ -78,8 +98,7 @@ class IncrementalCriticalPath:
         if event == "sweep-start":
             self._reset()
         if event == "pool-start":
-            if self.workers is None:
-                self.workers = record.get("workers")
+            self.lanes.update(pool_lanes(record))
             return
         digest = record.get("digest")
         if event == "queued":
@@ -87,6 +106,7 @@ class IncrementalCriticalPath:
                 self.predicted[digest] = float(record["predicted"])
         elif event == "started":
             self._starts[(digest, record.get("attempt", 1))] = record["t"]
+            self.lanes.add(lane_of(record))
         elif event in ("completed", "failed", "retry"):
             key = (digest, record.get("attempt", 1))
             t0 = self._starts.pop(key, None)
@@ -140,7 +160,7 @@ class IncrementalCriticalPath:
         bounding = (
             max(phases, key=lambda name: phases[name]["wall"]) if phases else None
         )
-        workers = self.workers
+        workers = len(self.lanes)
         if not intervals:
             return {
                 "workers": workers,
@@ -229,7 +249,7 @@ class IncrementalCriticalPath:
         makespan = t_end - t_start
         busy = sum(i["end"] - i["start"] for i in intervals)
         longest = max(i["end"] - i["start"] for i in intervals)
-        workers = self.workers
+        workers = len(self.lanes)
         # the LPT lower bound: no schedule beats the longest single job, nor
         # the perfectly level-packed busy time across all workers
         lower = max(longest, busy / workers) if workers else longest
@@ -288,20 +308,17 @@ def _chain(intervals: list[dict], t_start: float) -> list[dict]:
     return chain
 
 
-def critical_path(
-    records: Iterable[dict], *, workers: Optional[int] = None
-) -> dict:
+def critical_path(records: Iterable[dict]) -> dict:
     """Summarize what bounded a sweep's wall clock (see module docstring)."""
-    return IncrementalCriticalPath(workers=workers).consume_all(records).summary()
+    return IncrementalCriticalPath().consume_all(records).summary()
 
 
 def render_critical_path(summary: dict) -> str:
     """Human-readable rendering (``repro observe critical-path``)."""
     lines = []
-    workers = summary.get("workers")
     lines.append(
         f"sweep: {summary['executed']} executed + {summary['cached']} cached "
-        f"job(s) on {workers if workers is not None else '?'} worker(s); "
+        f"job(s) on {summary['workers']} worker(s); "
         f"makespan {summary['makespan']}s, busy {summary['busy']}s"
     )
     idle = summary.get("worker_idle_fraction")

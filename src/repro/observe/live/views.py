@@ -7,18 +7,24 @@ synchronization -- the server serializes through its poll lock) by the
 ``/swimlanes`` and ``/consultant`` handlers.
 
 Swimlanes read the *fleet lifecycle log*: a lane is one execution slot --
-a local fork-pool slot (``slot-N``, from the ``slot`` field on
-``started`` records) or a remote worker id.  Consultant state reads the
-*merged event feed*: the Performance Consultant emits ``pc.decide`` /
-``pc.refine`` instants into the flight recorder as it evaluates
-hypotheses, so a live viewer watches the search narrow while the run is
-still going -- the paper's online-analysis loop, reconstructed from the
-stream.
+a local fork-pool slot (``slot-N``, opened idle for every slot by the
+pool's ``pool-start`` and named by the ``slot`` field on ``started``
+records) or a remote worker id.  These are the lanes
+(:func:`~repro.observe.critical_path.pool_lanes`,
+:func:`~repro.observe.critical_path.lane_of`) the critical path counts
+as workers, so ``workers`` is the number of lanes.  Consultant state
+reads the *merged event feed*: the Performance Consultant emits
+``pc.decide`` / ``pc.refine`` instants into the flight recorder as it
+evaluates hypotheses, so a live viewer watches the search narrow while
+the run is still going -- the paper's online-analysis loop,
+reconstructed from the stream.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+
+from ..critical_path import lane_of, pool_lanes
 
 __all__ = ["SwimlaneState", "ConsultantState"]
 
@@ -30,7 +36,6 @@ class SwimlaneState:
         self._reset()
 
     def _reset(self) -> None:
-        self.workers = None
         self.remote = False
         self.lanes: dict[str, dict] = {}
         self._by_key: dict[tuple, str] = {}
@@ -42,8 +47,9 @@ class SwimlaneState:
             self._reset()
             return
         if event == "pool-start":
-            self.workers = record.get("workers")
             self.remote = bool(record.get("remote"))
+            for lane in pool_lanes(record):
+                self.lanes.setdefault(lane, {"jobs": 0, "state": "idle"})
             return
         if event in ("queued", "cached-hit", "completed", "failed",
                      "retry", "started"):
@@ -53,7 +59,7 @@ class SwimlaneState:
             return
         key = (digest, record.get("attempt", 1))
         if event == "started":
-            lane = record.get("worker") or f"slot-{record.get('slot', '?')}"
+            lane = lane_of(record)
             self._by_key[key] = lane
             entry = self.lanes.setdefault(lane, {"jobs": 0})
             entry.update(
@@ -80,7 +86,7 @@ class SwimlaneState:
 
     def snapshot(self) -> dict:
         return {
-            "workers": self.workers,
+            "workers": len(self.lanes),
             "remote": self.remote,
             "lanes": {name: dict(info) for name, info in
                       sorted(self.lanes.items())},

@@ -20,6 +20,13 @@ def pytest_addoption(parser):
     parser.addoption("--chaos-summary", metavar="PATH",
                      help="a remote --chaos sweep's BENCH_fleet.json: "
                      "the drill happened and no job was lost")
+    parser.addoption("--live-replay", nargs=3,
+                     metavar=("LIVE", "CPATH", "SUMMARY"),
+                     help="a live client's raw replay and last "
+                     "/critical-path, and that sweep's BENCH_fleet.json")
+    parser.addoption("--resweep-summary", metavar="PATH",
+                     help="a re-sweep's BENCH_fleet.json: every render "
+                     "restored from the warm cache")
 
 
 @pytest.fixture

@@ -54,6 +54,7 @@ from repro.fleet.remote import (
     RemotePool,
     parse_endpoint,
 )
+from repro.fleet.remote.coordinator import tally
 
 _CTX = multiprocessing.get_context("fork")
 
@@ -352,6 +353,12 @@ def test_lease_result_completes(pinned_version):
     assert coord.events_since(0)["done"]
     completed = events_of(coord, "completed")
     assert len(completed) == 1 and completed[0]["worker"] == "w1"
+    # the feed cursor is clamped to [0, len(feed)]: a negative one reads
+    # from the start instead of handing back the tail as new events
+    feed = len(coord._events)
+    assert coord.events_since(-2) == coord.events_since(0)
+    assert coord.events_since(feed + 5) == {"events": [], "cursor": feed,
+                                             "done": True}
     # resubmitting a terminal digest hands the record straight back
     again = coord.submit_jobs({"jobs": job_rows([spec])})
     assert again["accepted"] == 0
@@ -368,7 +375,7 @@ def test_heartbeat_renews_lease(pinned_version):
     assert coord.heartbeat(job["lease"], "w1")["ok"]
     clock.advance(8.0)  # 16s since lease, but only 8 since renewal
     assert coord.lease("w2", code_version())["job"] is None  # not stolen
-    assert coord.steals == 0
+    assert coord.status()["steals"] == 0
 
 
 def test_missed_heartbeats_steal_the_job(pinned_version):
@@ -381,7 +388,8 @@ def test_missed_heartbeats_steal_the_job(pinned_version):
     second = coord.lease("w2", code_version())["job"]
     assert second is not None and second["digest"] == spec.digest
     assert second["attempt"] == 2
-    assert coord.steals == 1 and coord.worker_losses == 1
+    status = coord.status()
+    assert status["steals"] == 1 and status["worker_losses"] == 1
     assert events_of(coord, "stolen")[0]["worker"] == "w1"
     # the presumed-dead worker resurfacing with a late result is dropped
     assert not coord.result(first["lease"], ok_artifact(spec))["ok"]
@@ -513,7 +521,7 @@ def test_chaos_kill_schedule_is_deterministic(pinned_version):
     # armed kills fire on the same lease for the same seed, every time
     assert killed_a["chaos"] == "kill" == killed_b["chaos"]
     assert killed_a["job"]["digest"] == killed_b["job"]["digest"]
-    assert coord_a.chaos_kills == 1
+    assert coord_a.status()["chaos_kills"] == 1
     # the victim no longer counts as alive, so the survivor is never killed
     follow_up = coord_a.lease("w1", code_version())
     assert follow_up.get("chaos") is None
@@ -643,6 +651,9 @@ def test_remote_pool_starts_at_the_feed_end(pinned_version):
         assert coord.health()["feed"] == history > 0
 
         pool = RemotePool(coord.address, retries=0, poll_interval=0.02)
+        # a negative cursor is clamped to the feed start over HTTP too
+        feed = pool._request("GET", "/events?cursor=-2")
+        assert feed["cursor"] == history and len(feed["events"]) == history
         paths: list[str] = []
         request = pool._request
         pool._request = (
@@ -689,20 +700,39 @@ def test_two_sweeps_share_one_coordinator(pinned_version):
         threads.append(thread)
         return thread
 
-    def sweep(spec: RunSpec) -> dict:
+    def sweep(spec: RunSpec, joining: str | None = None) -> RemotePool:
         pool = RemotePool(coord.address, retries=0, drain=True,
                           poll_interval=0.02, worker_grace=2.0)
+        if joining is not None:
+            # a worker joins inside this sweep's feed window (after the
+            # cursor snapshot, before the batch) and finds the queue empty
+            request = pool._request
+
+            def join_then_request(method, path, payload=None):
+                if path == "/jobs":
+                    assert coord.lease(joining, code_version())["job"] is None
+                return request(method, path, payload)
+
+            pool._request = join_then_request
         pool.submit(spec)
-        return pool.run()[spec.digest]
+        assert pool.run()[spec.digest]["status"] == "ok"
+        return pool
 
     try:
         w1 = start_worker("w1")
-        assert sweep(first)["status"] == "ok"
+        sweep(first)
         w1.join(10)
         assert not w1.is_alive()  # sweep 1's drain sent its worker home
         start_worker("w2")
         time.sleep(0.3)  # w2 polls the drained, empty queue
-        assert sweep(second)["status"] == "ok"
+        pool = sweep(second, joining="w3")
+        # the second sweep's own records name only the worker that served
+        # it: w3 joined mid-sweep but leased nothing
+        assert list(tally(pool.events.records)["workers"]) == ["w2"]
+        # the coordinator's lifetime view still lists the idle worker
+        lifetime = coord.status()["workers"]
+        assert set(lifetime) == {"w1", "w2", "w3"}
+        assert lifetime["w3"]["jobs"] == 0
     finally:
         coord.control("drain")
         for thread in threads:
@@ -739,7 +769,7 @@ def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
         for proc in workers:
             proc.join(15)
         assert pool.summary()["completed"] == 6
-        remote = pool.remote_summary()
+        remote = tally(pool.events.records)
         assert sum(r["jobs"] for r in remote["workers"].values()) == 6
         for spec in specs:
             # artifact bytes AND backing files identical local vs remote
@@ -786,7 +816,7 @@ def test_chaos_kills_worker_job_stolen_and_completed(tmp_path, pinned_version):
         for spec in specs:
             assert results[spec.digest]["status"] == "ok"
             assert server.cache.has(spec.digest)
-        remote = pool.remote_summary()
+        remote = tally(pool.events.records)
         assert remote["chaos_kills"] == 1  # one armed kill fired
         assert remote["steals"] >= 1  # the victim's lease was stolen
         # exactly one worker was SIGKILLed, the other drained cleanly
@@ -876,7 +906,7 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
             bench_out=tmp_path / "BENCH_remote.json", events=log,
         )
         worker.join(20)
-        assert summary["schema"] == 5
+        assert summary["schema"] == 6
         # one pool for warm and render jobs alike: the remote sweep pipelines
         assert [r["event"] for r in log.records].count("pool-start") == 1
         assert summary["counts"]["failed"] == 0
@@ -884,7 +914,8 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         remote = summary["remote"]
         assert list(remote["workers"]) == ["sweep-w0"]
         assert remote["workers"]["sweep-w0"]["jobs"] >= 1
-        assert remote["store"]["puts"] >= 1
+        assert summary["workers"] == 1
+        assert summary["cache"]["puts"] >= 1
 
         # every artifact byte-identical to the local sweep's, file for file
         local_digests = set(local_cache.digests())
@@ -909,6 +940,8 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         )
         assert warm["counts"]["cached"] == warm["counts"]["specs"]
         assert warm["counts"]["completed"] == 0
+        # ... so nothing ran on any worker in this sweep
+        assert warm["workers"] == 0 and warm["remote"]["workers"] == {}
         warm_reports = {p.name: p.read_bytes() for p in reports.glob("*.txt")}
         assert warm_reports == local_reports
     finally:

@@ -15,6 +15,7 @@ so they can edit bench sources and consumed artifacts freely and assert:
 from __future__ import annotations
 
 import argparse
+import json
 import shutil
 import sys
 import textwrap
@@ -140,8 +141,7 @@ def test_plan_collects_render_keys_and_consumes(bench_env):
     assert set(by_target) == {"bench_alpha::test_alpha", "bench_beta::test_beta"}
     alpha = by_target["bench_alpha::test_alpha"]
     beta = by_target["bench_beta::test_beta"]
-    assert alpha.opaque and alpha.consumes == ()
-    assert not beta.opaque
+    assert alpha.consumes == ()
     assert beta.consumes == (beta_spec().digest,)
     assert [spec.digest for spec in plan.specs] == [beta_spec().digest]
     for entry in plan.benches:
@@ -188,6 +188,35 @@ def test_cli_sweep_exits_nonzero_on_collect_failure(bench_env, capsys):
     assert cmd_fleet(args) == 1
     out = capsys.readouterr().out
     assert "COLLECT FAILED bench_broken::test_broken" in out
+
+
+def test_cli_fleet_status_reads_the_caches_last_sweep(
+    bench_env, tmp_path, monkeypatch, capsys
+):
+    """``fleet status`` prints the last sweep from the cache's own event
+    log, never from a ``BENCH_fleet.json`` in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "BENCH_fleet.json").write_text(json.dumps({
+        "suite": "all", "generated_at": "2026-08-08T00:00:00+00:00",
+        "counts": {"specs": 137, "completed": 137, "cached": 0, "failed": 0},
+        "wall": {"total": 244.4},
+    }))
+    parser = argparse.ArgumentParser()
+    add_fleet_parser(parser.add_subparsers(dest="command"))
+    status = parser.parse_args(
+        ["fleet", "status", "--cache", str(tmp_path / "cache"), "--events", "0"]
+    )
+    assert cmd_fleet(status) == 0  # a cache that never swept
+    out = capsys.readouterr().out
+    assert out.startswith("# fleet cache at ") and "last sweep" not in out
+    warm_beta_artifact()
+    sweep()
+    capsys.readouterr()
+    assert cmd_fleet(status) == 0
+    (line,) = [line for line in capsys.readouterr().out.splitlines()
+               if "last sweep" in line]
+    assert line.startswith("# last sweep [bench] at ")
+    assert "3 jobs, 2 completed, 1 cached, 0 failed" in line
 
 
 # -------------------------------------------------------------- determinism

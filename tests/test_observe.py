@@ -334,16 +334,15 @@ def test_critical_path_chain_and_idle_fraction():
     # two workers; d1 and d2 start together, d3 runs after d1 finishes:
     # the chain is d1 -> d3 and one worker idles while d3 runs alone
     records = _records(
-        ("pool-start", None, 0.0, {"workers": 2}),
-        ("started", "d1", 0.0, {"attempt": 1}),
-        ("started", "d2", 0.0, {"attempt": 1}),
+        ("started", "d1", 0.0, {"attempt": 1, "slot": 0}),
+        ("started", "d2", 0.0, {"attempt": 1, "slot": 1}),
         ("completed", "d2", 1.0, {"attempt": 1}),
         ("completed", "d1", 4.0, {"attempt": 1}),
-        ("started", "d3", 4.1, {"attempt": 1}),
+        ("started", "d3", 4.1, {"attempt": 1, "slot": 0}),
         ("completed", "d3", 6.0, {"attempt": 1}),
     )
     summary = critical_path(records)
-    assert summary["workers"] == 2  # read from pool-start
+    assert summary["workers"] == 2  # the slots the started records name
     assert summary["executed"] == 3
     assert [link["job"] for link in summary["chain"]] == ["job-d1", "job-d3"]
     assert summary["makespan"] == 6.0
@@ -352,12 +351,21 @@ def test_critical_path_chain_and_idle_fraction():
     assert summary["chain_coverage"] == pytest.approx(5.9 / 6.0, abs=1e-3)
     text = render_critical_path(summary)
     assert "job-d3" in text and "idle fraction" in text
+    # a local pool's pool-start opens all its slots: on a 4-slot pool the
+    # two slots no job reached are idle headroom, not absent workers
+    wide = critical_path(
+        _records(("pool-start", None, 0.0, {"workers": 4})) + records)
+    assert wide["workers"] == 4
+    assert wide["worker_idle_fraction"] == pytest.approx(1 - 6.9 / 24,
+                                                         abs=1e-4)
+    assert wide["scheduling"]["packing"]["lower_bound"] == 4.0  # longest job
 
 
 def test_critical_path_empty_and_all_cached():
     assert critical_path([])["chain"] == []
     summary = critical_path(_records(("cached-hit", "d1", 0.0, {})))
     assert summary["executed"] == 0 and summary["cached"] == 1
+    assert summary["workers"] == 0  # nothing ran
     assert "warm cache" in render_critical_path(summary)
 
 
@@ -572,10 +580,13 @@ def test_cli_observe_trace_empty_dir_errors(tmp_path, capsys):
 
 def test_cli_observe_critical_path(tmp_path, capsys):
     events_path = tmp_path / "events.jsonl"
-    log = EventLog(events_path, clock=iter([0.0, 0.1, 0.2, 5.0, 5.1]).__next__)
-    log.emit("pool-start", workers=2, requested=2, queued=1)
+    log = EventLog(events_path,
+                   clock=iter([0.0, 0.1, 0.2, 0.3, 1.0, 5.0]).__next__)
     log.emit("queued", digest="d1", job="oned/lam")
-    log.emit("started", digest="d1", job="oned/lam", attempt=1)
+    log.emit("queued", digest="d2", job="sstwod/lam")
+    log.emit("started", digest="d1", job="oned/lam", attempt=1, slot=0)
+    log.emit("started", digest="d2", job="sstwod/lam", attempt=1, slot=1)
+    log.emit("completed", digest="d2", job="sstwod/lam", attempt=1)
     log.emit("completed", digest="d1", job="oned/lam", attempt=1)
     log.close()
     assert main(["observe", "critical-path", "--events", str(events_path),

@@ -367,7 +367,8 @@ def test_observatory_replay_and_views(tmp_path):
     log = EventLog(events_path)
     log.emit("sweep-start", suite="bench", t=0.0)
     log.emit("phase-start", phase="warm", t=0.5)
-    log.emit("pool-start", workers=2, jobs=2, t=1.0)
+    # a 3-slot pool whose third slot never gets a job
+    log.emit("pool-start", workers=3, t=1.0)
     log.emit("started", digest="d1", job="alpha", attempt=1, slot=0, t=1.0)
     log.emit("started", digest="d2", job="beta", attempt=1, slot=1, t=1.1)
     log.emit("completed", digest="d1", job="alpha", attempt=1, t=4.0)
@@ -398,7 +399,10 @@ def test_observatory_replay_and_views(tmp_path):
 
         status, lanes = http_get(service.address, "/swimlanes")
         assert status == 200
-        assert set(lanes["lanes"]) == {"slot-0", "slot-1"}
+        # the idle slot is a lane too, and a worker in both views
+        assert set(lanes["lanes"]) == {"slot-0", "slot-1", "slot-2"}
+        assert lanes["lanes"]["slot-2"] == {"jobs": 0, "state": "idle"}
+        assert lanes["workers"] == live_cpath["workers"] == 3
         assert lanes["counts"]["completed"] == 2
 
         status, health = http_get(service.address, "/health")
