@@ -34,7 +34,9 @@ Outputs:
 * ``benchmarks/reports/scale_ranks.txt`` -- rendered scaling table;
 * ``BENCH_kernel.json`` (repo root) -- a ``scale_ranks`` key *merged*
   into the kernel perf trajectory (the kernel-throughput bench owns the
-  ``scenarios`` key; each bench preserves the other's);
+  ``scenarios`` key; each bench preserves the other's); only the command
+  line (``--out``) writes it, so a fleet render of this bench leaves it
+  alone;
 * ``python benchmarks/bench_scale_ranks.py --check <baseline>`` -- the
   CI perf-smoke gate: calibration-normalized events/sec per cell vs the
   checked-in baseline, >30% drops fail (same contract as
@@ -460,7 +462,6 @@ def check_against_baseline(summary: dict, baseline: dict) -> list[str]:
 def test_scale_ranks(benchmark):
     summary = once(benchmark, run_sweep)
     emit("scale_ranks", render(summary))
-    merge_bench_json(summary)
     for shape, entry in summary["shapes"].items():
         assert entry["cells"][-1]["ranks"] >= 1024, (shape, entry["cells"])
 

@@ -13,7 +13,10 @@ declaratively-specified runs in parallel, cached, with failures contained":
   with per-job timeouts and failure containment, driving the
   :class:`JobGraph` (priority/LPT ready order, ``after=`` dependencies,
   bounded retry with backoff) that the remote coordinator drives too;
-* :class:`EventLog` (:mod:`~repro.fleet.events`) -- JSONL lifecycle log;
+* :class:`EventLog` (:mod:`~repro.fleet.events`) -- JSONL lifecycle log,
+  whose ``completed`` walls (with the last summary's ``per_job`` rows) are
+  what :func:`~repro.fleet.profiles.learned_walls` hands the next local
+  sweep to schedule longest-predicted-first;
 * :mod:`~repro.fleet.render` -- content-addressed incremental report
   rendering: each bench entry point is a ``mode="render"`` spec whose
   digest (its *render key*) covers the bench source, ``common.py``, and

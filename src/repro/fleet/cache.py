@@ -260,20 +260,16 @@ class ResultCache(ArtifactStore):
         return removed
 
     def clean(self) -> int:
-        """Drop every cached artifact (and the events log); returns count
-        removed (stranded temp files included).  Tolerant of a missing or
+        """Drop every cached artifact; returns count removed (stranded temp
+        files included).  The events log stays: its ``completed`` walls
+        steer the next sweep's schedule.  Tolerant of a missing or
         partially initialized cache -- including an events path that is
-        (wrongly) a directory."""
+        (wrongly) a directory, which goes."""
         removed = len(self) + sum(1 for _ in self.tmp_files())
         shutil.rmtree(self.objects_dir, ignore_errors=True)
         shutil.rmtree(self.quarantine_dir, ignore_errors=True)
-        try:
-            self.events_path.unlink()
-        except FileNotFoundError:
-            pass
-        except (IsADirectoryError, PermissionError):
-            # something non-file squatting on events.jsonl (seen after
-            # interrupted setups); clean means clean
+        if self.events_path.is_dir():
+            # seen after interrupted setups; clean means clean
             shutil.rmtree(self.events_path, ignore_errors=True)
         return removed
 

@@ -9,7 +9,7 @@ The three service commands make up the distributed topology::
     machine A$ repro fleet serve --store http://A:8750 --port 8751
     machine B$ repro fleet worker A:8751
     machine C$ repro fleet worker A:8751
-    anywhere$  repro fleet sweep --workers A:8751 --store http://A:8750
+    anywhere$  repro fleet sweep --workers A:8751 --cache http://A:8750
 """
 
 from __future__ import annotations
@@ -108,11 +108,9 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                        help="run the sweep over the remote workers attached "
                        "to this coordinator (repro fleet serve) instead of "
                        "local forks")
-    sweep.add_argument("--store", default=None, metavar="URL",
-                       help="shared artifact-store URL (repro fleet store); "
-                       "overrides --cache")
-    sweep.add_argument("--cache", default=None, metavar="DIR",
-                       help="cache directory (default .repro-cache)")
+    sweep.add_argument("--cache", default=None, metavar="DIR|URL",
+                       help="cache directory (default .repro-cache), or a "
+                       "shared artifact-store URL (repro fleet store)")
     sweep.add_argument("--bench-out", default=BENCH_OUT, metavar="PATH",
                        help="perf-trajectory JSON output (- to skip)")
     sweep.add_argument("--impls", default=",".join(DEFAULT_SANITIZE_IMPLS),
@@ -149,10 +147,9 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
     run.add_argument("--workers", type=_endpoint, metavar="HOST:PORT",
                      help="run on this coordinator's workers instead of a "
                      "local fork")
-    run.add_argument("--store", default=None, metavar="URL",
-                     help="shared artifact-store URL; overrides --cache")
-    run.add_argument("--cache", default=None, metavar="DIR",
-                     help="cache directory (default .repro-cache)")
+    run.add_argument("--cache", default=None, metavar="DIR|URL",
+                     help="cache directory (default .repro-cache), or a "
+                     "shared artifact-store URL")
     run.add_argument("--timeout", type=float, default=600.0)
     run.add_argument("--retries", type=int, default=1)
     _add_token_flag(run)
@@ -223,7 +220,7 @@ def _speedup(phase: Optional[dict], label: str) -> str:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     _export_token(args.token)
-    cache = _resolve_store(args.store or args.cache)
+    cache = _resolve_store(args.cache)
     bench_out = None if args.bench_out == "-" else Path(args.bench_out)
     summary = run_sweep(
         suite=args.suite,
@@ -321,7 +318,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.program, mode=args.mode, impl=args.impl,
         nprocs=args.nprocs, seed=args.seed, quick=args.quick,
     )
-    cache = _resolve_store(args.store or args.cache)
+    cache = _resolve_store(args.cache)
     if args.workers:
         from .remote.pool import RemotePool
 

@@ -280,12 +280,7 @@ def report_from_artifact(artifact: dict):
 # -- cached in-process execution --------------------------------------------
 
 
-def run_cached(
-    spec: RunSpec,
-    cache: Optional[ArtifactStore] = None,
-    *,
-    events=None,
-) -> dict:
+def run_cached(spec: RunSpec, cache: Optional[ArtifactStore] = None) -> dict:
     """Execute ``spec`` through the cache: hit -> replay the stored artifact,
     miss -> run in-process and store.  The inline (non-pool) fleet path."""
     cache = cache if cache is not None else default_cache()
@@ -296,8 +291,6 @@ def run_cached(
         # failure is just a miss -- re-execute and re-store
         data = None
     if data is not None:
-        if events is not None:
-            events.emit("cached-hit", digest=spec.digest, job=spec.label)
         return from_bytes(data)
     artifact = execute_spec(spec)
     cache.put(spec.digest, to_bytes(artifact))

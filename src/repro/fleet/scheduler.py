@@ -31,7 +31,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from ..observe.export import read_jsonl  # mode-salt: none
 from ..observe.recorder import active as _observe_active  # mode-salt: none
@@ -39,7 +39,6 @@ from ..observe.recorder import enable as _observe_enable  # mode-salt: none
 from .cache import ArtifactStore, StoreIntegrityError
 from .events import EventLog
 from .execute import execute_spec, failure_artifact, from_bytes, to_bytes
-from .profiles import ProfileStore
 from .spec import RunSpec
 
 __all__ = ["FleetScheduler", "JobGraph", "JobOutcome"]
@@ -190,7 +189,7 @@ PENDING, RUNNING, DONE = "pending", "running", "done"
 @dataclass
 class _Node:
     priority: int
-    #: wall predicted by the profile store; longer runs first (LPT)
+    #: predicted wall (the label's last executed one); longer runs first (LPT)
     predicted: Optional[float]
     #: producers that were not yet terminal when this job was added
     after: tuple
@@ -337,10 +336,10 @@ class FleetScheduler:
     trace_dir: directory for per-worker flight-recorder mirror files
         (``--trace``); ``None`` disables mirroring (workers still keep
         their in-memory ring for failure artifacts).
-    profiles: a :class:`~repro.fleet.profiles.ProfileStore`; within one
-        explicit ``priority`` class, ready jobs launch longest-predicted
-        -first (LPT) instead of submission order.  Completed walls are
-        EMA-merged back into the store (the caller saves it).
+    walls: job label -> predicted wall (the sweep passes
+        :func:`~repro.fleet.profiles.learned_walls`); within one explicit
+        ``priority`` class, ready jobs launch longest-predicted-first (LPT),
+        and a label it does not name launches after the predicted ones.
     order_seed: seeded shuffle of ready-queue tie-breaks.  Jobs with
         equal ``(priority, predicted)`` launch in a pseudo-random order
         instead of FIFO -- the adversarial-order determinism tests prove
@@ -358,7 +357,7 @@ class FleetScheduler:
         events: Optional[EventLog] = None,
         executor: Callable[[RunSpec], dict] = execute_spec,
         trace_dir: Optional[Path] = None,
-        profiles: Optional[ProfileStore] = None,
+        walls: Optional[Mapping[str, float]] = None,
         order_seed: Optional[int] = None,
     ) -> None:
         usable = _usable_cpus()
@@ -373,7 +372,7 @@ class FleetScheduler:
         # popped smallest-first on launch, returned on reap
         self._free_slots = list(range(self.jobs))[::-1]
 
-        self.profiles = profiles
+        self.walls = walls or {}
         self.graph = JobGraph(retries=retries, backoff=backoff, order_seed=order_seed)
         self._specs: dict[str, RunSpec] = {}
         self.results: dict[str, dict] = {}
@@ -396,7 +395,7 @@ class FleetScheduler:
             return digest
         self._specs[digest] = spec
         self.outcomes[digest] = JobOutcome.of(spec)
-        predicted = self.profiles.predict(spec) if self.profiles is not None else None
+        predicted = self.walls.get(spec.label)
         deps = self.graph.add(digest, priority=priority, predicted=predicted,
                               after=after)
         self.events.emit(
@@ -579,8 +578,6 @@ class FleetScheduler:
         outcome.status = "completed"
         if self.cache is not None:
             self.cache.put(digest, to_bytes(artifact))
-        if self.profiles is not None:
-            self.profiles.observe(entry.spec, wall)
         self.events.emit(
             "completed",
             digest=digest,

@@ -12,12 +12,15 @@ against the content-addressed cache:
    sanitizer sweep over the clean programs, the seeded-defect library) and
    every render spec go through a single pool -- the local
    :class:`FleetScheduler`, or the :class:`~repro.fleet.remote.RemotePool`
-   with ``--workers`` -- parallel, cached, failures contained.  A render
-   is submitted ``after`` the artifacts it consumes and starts the moment
-   they are terminal; a bench that consumes none starts at once.  An
-   unchanged render key is a cache hit (the bench is skipped and its
-   reports restored byte-identically), and the parent writes every
-   captured report to ``benchmarks/reports/`` as the single writer.
+   with ``--workers`` -- parallel, cached, failures contained.  The local
+   pool launches ready jobs longest-predicted-first, predicting each job's
+   wall as the last one its label ran for in the summary this sweep
+   overwrites or in the cache's event log.  A render is submitted
+   ``after`` the artifacts it consumes and starts the moment they are
+   terminal; a bench that consumes none starts at once.  An unchanged
+   render key is a cache hit (the bench is skipped and its reports
+   restored byte-identically), and the parent writes every captured
+   report to ``benchmarks/reports/`` as the single writer.
 
 Collect is the only barrier.  The *warm* and *render* phases reported in
 the summary are windows over the pool's own job events -- a ``render:``
@@ -48,7 +51,7 @@ from ..observe.recorder import recording  # mode-salt: none
 from .cache import ArtifactStore
 from .events import EventLog
 from .execute import default_cache
-from .profiles import ProfileStore, open_store
+from .profiles import learned_walls
 from .render import (
     CollectOnly,
     RenderPlan,
@@ -198,12 +201,13 @@ def run_sweep(
     live_linger: float = 2.0,
     order_seed: Optional[int] = None,
 ) -> dict:
-    """Full sweep: collect render keys, then run one profile-guided,
-    dependency-aware schedule -- experiments and renders share a single
-    pool, each render admitted the moment its consumed artifacts are all
-    terminal, ready jobs ordered longest-predicted-first from the persisted
-    wall profiles.  Returns the machine-readable summary also written to
-    ``bench_out``.
+    """Full sweep: collect render keys, then run one dependency-aware
+    schedule -- experiments and renders share a single pool, each render
+    admitted the moment its consumed artifacts are all terminal, ready jobs
+    ordered longest-predicted-first from the walls earlier sweeps recorded
+    (:func:`~repro.fleet.profiles.learned_walls` over ``bench_out`` and the
+    cache's event log).  Returns the machine-readable summary also written
+    to ``bench_out``.
 
     ``order_seed`` seeds a shuffle of ready-queue tie-breaks (adversarial
     -order determinism testing); artifacts and reports are byte-identical
@@ -310,17 +314,13 @@ def _run_sweep(
     events_start = len(getattr(events, "records", []))
     events.emit("sweep-start", suite=suite)
 
-    # wall profiles steer the local pool's LPT ordering; remote lease order
-    # is the coordinator's (priority, then submission order).  Seeded from
-    # the committed BENCH_fleet.json so even a fresh checkout knows its
-    # tail jobs.
-    profiles: Optional[ProfileStore] = None
+    # the walls earlier sweeps recorded steer the local pool's LPT order:
+    # the summary this sweep overwrites (the committed BENCH_fleet.json on a
+    # fresh checkout), then the cache's event log.  Remote lease order is
+    # the coordinator's (priority, then submission order).
+    walls = None
     if not workers:
-        seed_json = Path(bench_out) if bench_out is not None else Path(BENCH_OUT)
-        try:
-            profiles = open_store(Path(cache.root), seed_json)
-        except (OSError, AttributeError):
-            profiles = None  # advisory: a sweep must never fail on profiles
+        walls = learned_walls(bench_out, getattr(cache, "events_path", None))
 
     # -- collect: render keys + the specs the benches would run -------------
     events.emit("phase-start", phase="collect")
@@ -351,7 +351,7 @@ def _run_sweep(
         else:
             pool = FleetScheduler(
                 jobs=jobs, timeout=timeout, retries=retries, cache=cache,
-                events=events, trace_dir=trace_dir, profiles=profiles,
+                events=events, trace_dir=trace_dir, walls=walls,
                 order_seed=order_seed,
             )
         for spec in specs:
@@ -379,12 +379,6 @@ def _run_sweep(
 
     render_summary = _restore_renders(plan, pool)
 
-    if profiles is not None and profiles.dirty:
-        try:
-            profiles.save()
-        except OSError:  # pragma: no cover - read-only cache dir
-            pass
-
     trace_summary = write_trace(trace_dir) if trace_dir is not None else None
 
     per_job = [
@@ -404,11 +398,11 @@ def _run_sweep(
     ]
     phases = cpath["phases"]
     summary = {
-        # schema 6: "workers" and "remote" are counted from the sweep's own
-        # records, and the speedups live only in critical_path (busy/wall);
-        # schema 5 made warm/render walls job-event windows, schema 4 added
-        # "scheduling" and "profiles", schema 3 "remote" for --workers
-        "schema": 6,
+        # schema 7: the "profiles" block is gone (predictions come from
+        # the recorded walls); schema 6 counted "workers" and "remote" from
+        # the sweep's own records, schema 5 made warm/render walls
+        # job-event windows, schema 4 added "scheduling", schema 3 "remote"
+        "schema": 7,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "suite": suite,
         # the local pool's requested concurrency (it runs at most the
@@ -433,10 +427,9 @@ def _run_sweep(
         # blocking job chain + worker idle fraction + per-phase decomposition
         # (which phase bounds the sweep) -- repro.observe
         "critical_path": cpath,
-        # how well the profile-guided schedule packed: prediction error,
+        # how well the predicted schedule packed: prediction error,
         # makespan vs the LPT lower bound, render admission lead time
         "scheduling": scheduling,
-        "profiles": profiles.describe() if profiles is not None else None,
         "trace": trace_summary,
         "render": render_summary,
         "per_job": per_job,

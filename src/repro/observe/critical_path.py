@@ -10,13 +10,15 @@ derive what actually bounded the sweep's wall clock:
   the current link started) freed the worker slot the current link ran on.
   The chain is the sweep's critical path under greedy scheduling: shorten
   any link and the makespan moves.
-* the **worker-idle fraction** -- ``1 - busy / (workers * makespan)``,
-  the headroom a better schedule (or more cache hits) could reclaim.
-  ``workers`` counts the sweep's lanes: every slot of a local fork pool
-  (:func:`pool_lanes`, from its ``pool-start``), whether or not a job
-  reached it, plus each executor a ``started`` record names
-  (:func:`lane_of`) -- on a remote sweep, the workers that served it, 0
-  when nothing ran;
+* the **worker-idle fraction** -- ``1 - busy / capacity``, the headroom a
+  better schedule (or more cache hits) could reclaim.  ``workers`` counts
+  the sweep's lanes: every slot of a local fork pool (:func:`pool_lanes`,
+  from its ``pool-start``), whether or not a job reached it, plus each
+  executor a ``started`` record names (:func:`lane_of`) -- on a remote
+  sweep, the workers that served it, 0 when nothing ran.  A lane offers
+  the whole makespan as capacity, except a remote worker whose lease
+  expired with no later ``started`` naming it: it was lost, and offers
+  the makespan only up to its ``lease-expired``;
 * the **speedup-vs-serial decomposition** -- executed worker-seconds over
   makespan, next to the job/cache-hit counts that explain it;
 * the **phase decomposition** -- *warm* and *render* are windows over the
@@ -92,6 +94,9 @@ class IncrementalCriticalPath:
         self._phase_open: dict[str, float] = {}
         self.windows: dict[str, tuple[float, float]] = {}
         self.predicted: dict[str, float] = {}
+        #: lane -> ``t`` of its last lease-expired, while no later
+        #: ``started`` names it
+        self._lost: dict[str, float] = {}
 
     def consume(self, record: dict) -> None:
         event = record.get("event")
@@ -106,7 +111,13 @@ class IncrementalCriticalPath:
                 self.predicted[digest] = float(record["predicted"])
         elif event == "started":
             self._starts[(digest, record.get("attempt", 1))] = record["t"]
-            self.lanes.add(lane_of(record))
+            lane = lane_of(record)
+            self.lanes.add(lane)
+            self._lost.pop(lane, None)
+        elif event == "lease-expired":
+            # the steal's own records (stolen, failed) still name the lost
+            # worker; only a later start brings it back
+            self._lost[lane_of(record)] = record["t"]
         elif event in ("completed", "failed", "retry"):
             key = (digest, record.get("attempt", 1))
             t0 = self._starts.pop(key, None)
@@ -181,9 +192,10 @@ class IncrementalCriticalPath:
         t_end = max(i["end"] for i in intervals)
         makespan = t_end - t_start
         busy = sum(i["end"] - i["start"] for i in intervals)
+        width = self._width(t_start, makespan)
         idle = (
-            max(0.0, 1.0 - busy / (workers * makespan))
-            if workers and makespan > 0
+            max(0.0, 1.0 - busy / (width * makespan))
+            if width and makespan > 0
             else None
         )
         chain = _chain(intervals, t_start)
@@ -216,9 +228,20 @@ class IncrementalCriticalPath:
             "scheduling": self.scheduling(),
         }
 
+    def _width(self, t_start: float, makespan: float) -> float:
+        """The lanes' capacity in makespans: 1 per lane, but a lost worker
+        only the share of the makespan before its ``lease-expired``."""
+        if makespan <= 0:
+            return float(len(self.lanes))
+        return sum(
+            1.0 if lane not in self._lost
+            else min(1.0, max(0.0, self._lost[lane] - t_start) / makespan)
+            for lane in self.lanes
+        )
+
     def scheduling(self) -> dict:
         """Scheduling-efficiency metrics (the BENCH_fleet ``scheduling``
-        block): how good were the profile predictions, how tight is the
+        block): how good were the wall predictions, how tight is the
         packing against the LPT lower bound, and how long before the last
         warm job ended the first render started.
         """
@@ -231,28 +254,30 @@ class IncrementalCriticalPath:
         }
         if not intervals:
             return out
-        errors = []
-        for i in intervals:
-            pred = self.predicted.get(i["digest"])
-            if pred is None or i["attempt"] != 1 or i["status"] != "completed":
-                continue
-            actual = i["end"] - i["start"]
-            errors.append((actual - pred) / max(actual, 1e-9))
-        if errors:
+        pairs = [
+            (i["end"] - i["start"], self.predicted[i["digest"]])
+            for i in intervals
+            if i["digest"] in self.predicted
+            and i["attempt"] == 1 and i["status"] == "completed"
+        ]
+        if pairs:
+            # weighted by wall: a long job's error moves the makespan, a
+            # 20 ms job's does not
+            total = max(sum(actual for actual, _ in pairs), 1e-9)
             out["prediction"] = {
-                "jobs": len(errors),
-                "mean_abs_error": round(sum(abs(e) for e in errors) / len(errors), 4),
-                "mean_error": round(sum(errors) / len(errors), 4),
+                "jobs": len(pairs),
+                "mean_abs_error": round(sum(abs(a - p) for a, p in pairs) / total, 4),
+                "mean_error": round(sum(a - p for a, p in pairs) / total, 4),
             }
         t_start = min(i["start"] for i in intervals)
         t_end = max(i["end"] for i in intervals)
         makespan = t_end - t_start
         busy = sum(i["end"] - i["start"] for i in intervals)
         longest = max(i["end"] - i["start"] for i in intervals)
-        workers = len(self.lanes)
+        width = self._width(t_start, makespan)
         # the LPT lower bound: no schedule beats the longest single job, nor
-        # the perfectly level-packed busy time across all workers
-        lower = max(longest, busy / workers) if workers else longest
+        # the perfectly level-packed busy time across the lanes' capacity
+        lower = max(longest, busy / width) if width else longest
         out["packing"] = {
             "makespan": round(makespan, 3),
             "lower_bound": round(lower, 3),

@@ -79,3 +79,57 @@ def test_table3_bench_machinery_one_cheap_row():
     verdict = b3.verify_program("allcount", "lam")
     assert verdict.passed
     assert "allcount" in b3.render_table3([verdict])
+
+
+#: what each perf bench's scenario run returns, cut down to what its
+#: entry point renders and asserts on
+STUB_RUNS = {
+    "bench_kernel_throughput": ("test_kernel_throughput", "run_scenarios", {
+        "calibration_events_per_sec": 1,
+        "scenarios": {"timer_churn": {
+            "after": {"events": 1, "events_per_sec": 1},
+            "before": {"events_per_sec": 1},
+            "speedup": 1.0, "normalized": 1.0,
+        }},
+    }),
+    "bench_scale_ranks": ("test_scale_ranks", "run_sweep", {
+        "impl": "lam", "seed": 0,
+        "shapes": {"barrier": {
+            "cells": [{"ranks": 1024, "events": 1, "events_per_sec": 1,
+                       "normalized": 1.0, "digest": "0" * 64}],
+            "wall_ratio": 1.0, "rank_ratio": 1.0,
+        }},
+    }),
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(STUB_RUNS))
+def test_perf_bench_entry_points_leave_bench_kernel_json_alone(
+        module_name, tmp_path, monkeypatch):
+    """Only a perf bench's command line (``--out``) writes
+    ``BENCH_kernel.json``; its entry point, which a fleet sweep renders,
+    writes nothing but its captured report."""
+    import pathlib
+
+    import common
+
+    module = __import__(module_name)
+    entry, scenario_run, summary = STUB_RUNS[module_name]
+    out = tmp_path / "BENCH_kernel.json"
+    monkeypatch.setattr(common, "REPORTS_DIR", tmp_path / "reports")
+    monkeypatch.setattr(module, "BENCH_OUT", out)
+    monkeypatch.setattr(module, scenario_run, lambda *args, **kwargs: summary)
+    # any write outside tmp_path (the committed file included) fails here
+    # instead of landing
+    write_text = pathlib.Path.write_text
+
+    def guarded(path, *args, **kwargs):
+        assert tmp_path in path.parents, f"{entry} wrote {path}"
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", guarded)
+    getattr(module, entry)(StubBenchmark())
+    assert not out.exists()
+    assert [p.name for p in (tmp_path / "reports").iterdir()] == [
+        f"{module_name.removeprefix('bench_')}.txt"
+    ]

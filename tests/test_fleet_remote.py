@@ -906,7 +906,7 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
             bench_out=tmp_path / "BENCH_remote.json", events=log,
         )
         worker.join(20)
-        assert summary["schema"] == 6
+        assert summary["schema"] == 7
         # one pool for warm and render jobs alike: the remote sweep pipelines
         assert [r["event"] for r in log.records].count("pool-start") == 1
         assert summary["counts"]["failed"] == 0

@@ -361,6 +361,49 @@ def test_critical_path_chain_and_idle_fraction():
     assert wide["scheduling"]["packing"]["lower_bound"] == 4.0  # longest job
 
 
+def test_critical_path_lost_worker_counts_until_its_lease_expired():
+    """A remote worker whose lease expired with no later start offers
+    capacity only up to its lease-expired: w0 runs 0-100 s and 100-110 s,
+    w1's lease expires at 5 s, so the lanes offer 110 + 5 worker-seconds.
+    The steal's own record still names w1 and changes nothing."""
+    w0, w1 = {"attempt": 1, "worker": "w0"}, {"attempt": 1, "worker": "w1"}
+    records = _records(
+        ("started", "d1", 0.0, w0),
+        ("started", "d2", 0.0, w1),
+        ("lease-expired", "d2", 5.0, w1),
+        ("stolen", "d2", 5.0, w1),
+        ("completed", "d1", 100.0, w0),
+        ("started", "d2", 100.0, {**w0, "attempt": 2}),
+        ("completed", "d2", 110.0, {**w0, "attempt": 2}),
+    )
+    summary = critical_path(records)
+    assert summary["workers"] == 2  # lanes, lost or not
+    assert summary["worker_idle_fraction"] == round(1 - 110 / 115, 4)
+    packing = summary["scheduling"]["packing"]
+    assert packing["lower_bound"] == round(110 * 110 / 115, 3)
+    # a later start on w1 gives it the whole makespan back
+    back = critical_path(records + _records(
+        ("started", "d3", 108.0, {**w1}), ("completed", "d3", 109.0, w1)))
+    assert back["worker_idle_fraction"] == round(1 - 111 / 220, 4)
+
+
+def test_critical_path_prediction_error_is_weighted_by_wall():
+    """One 60 s job predicted at 54 s and ten 20 ms jobs predicted at
+    40 ms: the long job's 10% dominates, not the short jobs' 100%."""
+    rows = [("queued", "long", 0.0, {"predicted": 54.0}),
+            ("started", "long", 0.0, {"attempt": 1, "slot": 0}),
+            ("completed", "long", 60.0, {"attempt": 1})]
+    for n in range(10):
+        t = n * 0.02
+        rows += [("queued", f"s{n}", 0.0, {"predicted": 0.04}),
+                 ("started", f"s{n}", t, {"attempt": 1, "slot": 1}),
+                 ("completed", f"s{n}", t + 0.02, {"attempt": 1})]
+    prediction = critical_path(_records(*rows))["scheduling"]["prediction"]
+    assert prediction["jobs"] == 11
+    assert prediction["mean_abs_error"] == pytest.approx(0.103, abs=1e-3)
+    assert prediction["mean_error"] == round((6.0 - 0.2) / 60.2, 4)
+
+
 def test_critical_path_empty_and_all_cached():
     assert critical_path([])["chain"] == []
     summary = critical_path(_records(("cached-hit", "d1", 0.0, {})))
