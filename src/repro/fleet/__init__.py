@@ -8,7 +8,8 @@ declaratively-specified runs in parallel, cached, with failures contained":
   hash, is the cache key;
 * :class:`ArtifactStore` / :class:`ResultCache` (:mod:`~repro.fleet.cache`)
   -- the content-addressed artifact-store protocol and its local on-disk
-  backend, with atomic writes and hit/miss accounting;
+  backend, with atomic writes, hit/miss accounting, and the one verified
+  read (``load``) that quarantines a corrupt object as a miss;
 * :class:`FleetScheduler` (:mod:`~repro.fleet.scheduler`) -- the fork pool
   with per-job timeouts and failure containment, driving the
   :class:`JobGraph` (priority/LPT ready order, ``after=`` dependencies,
@@ -26,8 +27,8 @@ declaratively-specified runs in parallel, cached, with failures contained":
   as soon as the artifacts it consumes are terminal) and the ``sweep`` /
   ``status`` / ``clean`` CLI;
 * :mod:`~repro.fleet.remote` -- the distributed experiment service: the
-  artifact store served over HTTP (``fleet store``), the job-lease
-  coordinator (``fleet serve``), stateless cross-machine workers
+  job-lease coordinator (``fleet serve``), which also keeps and serves the
+  artifact store its sweeps cache in, stateless cross-machine workers
   (``fleet worker``), and the remote pool behind ``sweep --workers``.
 
 The separation mirrors the one the paper's ecosystem draws between the
@@ -44,7 +45,7 @@ from .cache import (
     content_sha256,
     default_cache_root,
 )
-from .events import EventLog, read_events
+from .events import EventLog
 from .execute import (
     artifact_found,
     default_cache,
@@ -88,7 +89,6 @@ __all__ = [
     "JobGraph",
     "JobOutcome",
     "EventLog",
-    "read_events",
     "execute_spec",
     "run_cached",
     "sanitize_cached",

@@ -2,13 +2,15 @@
 the local on-disk backend.
 
 :class:`ArtifactStore` is the protocol every backend implements --
-``get`` / ``put`` / ``has`` / ``stats`` -- so the scheduler, the sweep
-driver, and the bench bodies are indifferent to *where* artifacts live:
+``get`` / ``put`` / ``has`` / ``quarantine`` / ``describe`` -- plus
+:meth:`~ArtifactStore.load`, the one verified read every caller uses, so
+the scheduler, the sweep driver, the coordinator and the bench bodies are
+indifferent to *where* artifacts live:
 
 * :class:`ResultCache` -- the local directory backend (layout below);
-* :class:`~repro.fleet.remote.store.HTTPStore` -- the same four verbs
-  over HTTP against a shared store server (``repro fleet store``), with
-  digest verification on fetch and quarantine on corruption.
+* :class:`~repro.fleet.remote.store.HTTPStore` -- the same verbs over
+  HTTP against a coordinator's store (``repro fleet serve --cache DIR``),
+  with a transfer checksum on every fetch.
 
 Local layout (under ``.repro-cache/`` by default, ``REPRO_CACHE_DIR``
 overrides -- a ``http(s)://`` value selects the HTTP backend instead)::
@@ -19,19 +21,23 @@ overrides -- a ``http(s)://`` value selects the HTTP backend instead)::
 
 Artifacts are keyed by :attr:`RunSpec.digest`, which is salted with the
 source-tree hash, so a stale cache can never serve results from old code --
-edits simply orphan the old objects (``gc`` collects them).  Writes are
-atomic (temp file + ``os.replace`` in the same directory), so a crashed or
-killed worker can never leave a half-written artifact behind, and two
-workers racing on the same digest both land a complete, identical object.
-A worker killed *between* creating its temp file and the rename does
-strand the temp file; ``clean``/``gc`` sweep those (see
-:meth:`ResultCache.sweep_tmp`).
+edits simply orphan the old objects (``gc`` collects them).  Every artifact
+embeds the digest it is stored under; :func:`verify_artifact` checks that
+and that the body parses, and :meth:`ArtifactStore.load` quarantines an
+object that fails (a torn write, a mislabelled file), so it is a miss and
+its job runs again.  Writes are atomic (temp file + ``os.replace`` in the
+same directory), so a crashed or killed worker can never leave a
+half-written artifact behind, and two workers racing on the same digest
+both land a complete, identical object.  A worker killed *between*
+creating its temp file and the rename does strand the temp file;
+``clean``/``gc`` sweep those (see :meth:`ResultCache.sweep_tmp`).
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
+import json
 import os
 import shutil
 import threading
@@ -47,6 +53,7 @@ __all__ = [
     "CacheStats",
     "default_cache_root",
     "content_sha256",
+    "verify_artifact",
 ]
 
 #: ``gc`` sweeps only temp files older than this many seconds, so it never
@@ -56,7 +63,7 @@ GC_TMP_MAX_AGE = 3600.0
 
 def default_cache_root() -> Union[Path, str]:
     """The configured store location: a local path, or an ``http(s)://``
-    URL naming a remote artifact-store server."""
+    URL naming a coordinator's store."""
     configured = os.environ.get("REPRO_CACHE_DIR", ".repro-cache")
     if configured.startswith(("http://", "https://")):
         return configured
@@ -69,14 +76,33 @@ def content_sha256(data: bytes) -> str:
 
 
 class StoreIntegrityError(RuntimeError):
-    """An artifact fetched from a store failed verification (checksum or
-    embedded-digest mismatch).  Callers treat the digest as a miss after
-    the corrupt object has been quarantined."""
+    """An artifact failed verification (transfer checksum, a body that does
+    not parse, or an embedded-digest mismatch).  Callers treat the digest
+    as a miss after the corrupt object has been quarantined."""
 
     def __init__(self, digest: str, detail: str) -> None:
         super().__init__(f"artifact {digest[:12]} failed verification: {detail}")
         self.digest = digest
         self.detail = detail
+
+
+def verify_artifact(digest: str, data: bytes) -> dict:
+    """Decode the bytes stored under ``digest``: one JSON object whose
+    embedded ``digest`` (when it has one) is its key.  Raises
+    :class:`StoreIntegrityError` for a torn or garbled body, or for a
+    valid artifact filed under the wrong key."""
+    try:
+        artifact = json.loads(data.decode())
+    except (ValueError, UnicodeDecodeError):
+        raise StoreIntegrityError(digest, "body is not valid JSON") from None
+    if not isinstance(artifact, dict):
+        raise StoreIntegrityError(digest, "body is not a JSON object")
+    embedded = artifact.get("digest")
+    if embedded is not None and embedded != digest:
+        raise StoreIntegrityError(
+            digest, f"embedded digest {str(embedded)[:12]} != requested key"
+        )
+    return artifact
 
 
 @dataclass
@@ -102,13 +128,13 @@ class CacheStats:
 
 
 class ArtifactStore(abc.ABC):
-    """Content-addressed artifact storage: the four verbs every backend
-    speaks, plus per-session hit/miss accounting in ``stats``.
+    """Content-addressed artifact storage: the verbs every backend speaks,
+    per-session hit/miss accounting in ``stats``, and :meth:`load`.
 
     Backends must make ``put`` atomic and idempotent -- two writers racing
     on the same digest both land one complete object -- and ``get`` must
-    return the exact bytes stored (HTTP backends verify a checksum and
-    raise :class:`StoreIntegrityError` on corruption).
+    return the exact bytes stored (the HTTP backend verifies them, and
+    quarantines and raises :class:`StoreIntegrityError` on corruption).
     """
 
     stats: CacheStats
@@ -126,8 +152,28 @@ class ArtifactStore(abc.ABC):
         """Existence probe that does not count toward hit/miss stats."""
 
     @abc.abstractmethod
+    def quarantine(self, digest: str) -> bool:
+        """Move a corrupt object aside so the next ``get`` misses."""
+
+    @abc.abstractmethod
     def describe(self) -> dict:
         """Store location, object count/size, and session stats."""
+
+    def load(self, digest: str) -> Optional[dict]:
+        """The verified artifact stored under ``digest``, or ``None`` on a
+        miss.  A corrupt object is quarantined (kept for forensics) and is
+        a miss too, so its job runs again and re-stores it."""
+        try:
+            data = self.get(digest)
+        except StoreIntegrityError:
+            return None  # the backend quarantined it already
+        if data is None:
+            return None
+        try:
+            return verify_artifact(digest, data)
+        except StoreIntegrityError:
+            self.quarantine(digest)
+            return None
 
 
 class ResultCache(ArtifactStore):
@@ -206,8 +252,8 @@ class ResultCache(ArtifactStore):
         """Atomically store ``data`` under ``digest``; returns the object path."""
         path = self._object_path(digest)
         path.parent.mkdir(parents=True, exist_ok=True)
-        # pid alone is not unique enough: the HTTP store serves concurrent
-        # PUTs from threads of one process, which must not share a tmp name
+        # pid alone is not unique enough: the coordinator stores artifacts
+        # from threads of one process, which must not share a tmp name
         tmp = path.parent / (
             f".{path.name}.tmp.{os.getpid()}.{threading.get_ident()}"
         )

@@ -1,15 +1,16 @@
-"""``python -m repro fleet`` -- sweep / status / clean / store / serve / worker.
+"""``python -m repro fleet`` -- sweep / run / status / clean / serve / worker.
 
 Wired into the main CLI by :func:`add_fleet_parser`; kept here so the core
 CLI module stays free of fleet imports until a fleet command actually runs.
 
-The three service commands make up the distributed topology::
+The two service commands make up the distributed topology: one
+coordinator, which also keeps the artifact store, and any number of
+workers::
 
-    machine A$ repro fleet store --root /srv/repro-cache --port 8750
-    machine A$ repro fleet serve --store http://A:8750 --port 8751
+    machine A$ repro fleet serve --cache /srv/repro-cache --port 8751
     machine B$ repro fleet worker A:8751
     machine C$ repro fleet worker A:8751
-    anywhere$  repro fleet sweep --workers A:8751 --cache http://A:8750
+    anywhere$  repro fleet sweep --workers A:8751
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import Optional
 
 from ..observe.cli import DEFAULT_TRACE_DIR  # mode-salt: none
 from ..observe.critical_path import render_critical_path  # mode-salt: none
+from ..observe.export import read_jsonl  # mode-salt: none
 from .cache import ResultCache
-from .events import read_events
+from .execute import default_cache, open_store
 from .scheduler import FleetScheduler
 from .sweeps import (
     BENCH_OUT,
@@ -37,19 +39,20 @@ from .sweeps import (
 __all__ = ["add_fleet_parser", "cmd_fleet"]
 
 
-def _resolve_store(arg: Optional[str]):
-    """A cache/store argument (or the environment default) as a backend:
-    a path gives the local directory, an ``http(s)://`` URL the remote
-    store client."""
-    if arg:
-        if arg.startswith(("http://", "https://")):
-            from .remote.store import HTTPStore
+def _cache(arg: Optional[str]):
+    """``--cache`` (or the environment default) as a store backend."""
+    return open_store(arg) if arg else default_cache()
 
-            return HTTPStore(arg)
-        return ResultCache(arg)
-    from .execute import default_cache
 
-    return default_cache()
+def _remote_cache_clash(args: argparse.Namespace) -> bool:
+    """``--cache`` with ``--workers`` is a usage error: the coordinator's
+    store is a remote run's cache."""
+    if args.workers and args.cache:
+        print(f"fleet {args.fleet_command}: --cache and --workers are "
+              "exclusive; a remote run caches in its coordinator's store",
+              file=sys.stderr)
+        return True
+    return False
 
 
 def _endpoint(value: str) -> str:
@@ -110,7 +113,8 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                        "local forks")
     sweep.add_argument("--cache", default=None, metavar="DIR|URL",
                        help="cache directory (default .repro-cache), or a "
-                       "shared artifact-store URL (repro fleet store)")
+                       "coordinator's store URL; not with --workers, whose "
+                       "coordinator's store is the cache")
     sweep.add_argument("--bench-out", default=BENCH_OUT, metavar="PATH",
                        help="perf-trajectory JSON output (- to skip)")
     sweep.add_argument("--impls", default=",".join(DEFAULT_SANITIZE_IMPLS),
@@ -149,7 +153,7 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                      "local fork")
     run.add_argument("--cache", default=None, metavar="DIR|URL",
                      help="cache directory (default .repro-cache), or a "
-                     "shared artifact-store URL")
+                     "coordinator's store URL; not with --workers")
     run.add_argument("--timeout", type=float, default=600.0)
     run.add_argument("--retries", type=int, default=1)
     _add_token_flag(run)
@@ -165,27 +169,18 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                        help="keep artifacts the current sweep would reuse; "
                        "drop only orphans from older code versions")
 
-    store = fsub.add_parser(
-        "store",
-        help="serve a cache directory as a shared artifact store over HTTP",
-    )
-    store.add_argument("--root", default=None, metavar="DIR",
-                       help="cache directory to serve (default .repro-cache)")
-    store.add_argument("--host", default="127.0.0.1")
-    store.add_argument("--port", type=int, default=8750,
-                       help="listen port (0 = auto-assign)")
-    _add_token_flag(store)
-
     serve = fsub.add_parser(
         "serve",
-        help="run the sweep coordinator (job lease/heartbeat/result queue)",
+        help="run the sweep coordinator (job lease/heartbeat/result queue "
+        "and the artifact store its sweeps cache in)",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8751,
                        help="listen port (0 = auto-assign)")
-    serve.add_argument("--store", default=None, metavar="URL",
-                       help="artifact-store URL handed to workers at lease "
-                       "time")
+    serve.add_argument("--cache", default=".repro-cache", metavar="DIR",
+                       help="cache directory the coordinator stores every "
+                       "result in and serves to workers and drivers "
+                       "(default %(default)s)")
     serve.add_argument("--lease-timeout", type=float, default=15.0,
                        help="seconds without a heartbeat before a worker is "
                        "presumed dead and its job is re-queued")
@@ -201,9 +196,6 @@ def add_fleet_parser(sub: argparse._SubParsersAction) -> None:
                         help="coordinator endpoint (repro fleet serve)")
     worker.add_argument("--id", default=None, metavar="NAME",
                         help="worker id (default: hostname-pid)")
-    worker.add_argument("--store", default=None, metavar="URL",
-                        help="artifact-store URL (default: whatever the "
-                        "coordinator hands out)")
     worker.add_argument("--max-idle", type=float, default=None, metavar="SECS",
                         help="exit after this long with no work (default: "
                         "poll until the coordinator drains)")
@@ -219,8 +211,9 @@ def _speedup(phase: Optional[dict], label: str) -> str:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if _remote_cache_clash(args):
+        return 2
     _export_token(args.token)
-    cache = _resolve_store(args.cache)
     bench_out = None if args.bench_out == "-" else Path(args.bench_out)
     summary = run_sweep(
         suite=args.suite,
@@ -230,7 +223,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         chaos=args.chaos,
         chaos_seed=args.chaos_seed,
         workers=args.workers,
-        cache=cache,
+        cache=open_store(args.cache) if args.cache else None,
         bench_out=bench_out,
         sanitize_impls=tuple(args.impls.split(",")),
         trace_dir=Path(args.trace_dir) if args.trace or args.live else None,
@@ -239,7 +232,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         live_token=args.token,
     )
     counts = summary["counts"]
-    cache_stats = summary["cache"]
     render_info = summary["render"]
     collect_info = summary["collect"]
     phases = summary["critical_path"]["phases"]
@@ -258,7 +250,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"# wall: collect {summary['wall']['collect']}s + warm "
         f"{summary['wall']['warm']}s + render "
         f"{summary['wall']['render']}s; cache hit rate "
-        f"{cache_stats['hit_rate']:.0%}"
+        f"{counts['cached'] / max(1, counts['specs']):.0%}"
         + _speedup(phases.get("warm"), "warm speedup vs serial")
     )
     remote = summary.get("remote")
@@ -309,6 +301,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if _remote_cache_clash(args):
+        return 2
     _export_token(args.token)
     import time as _time
 
@@ -318,15 +312,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args.program, mode=args.mode, impl=args.impl,
         nprocs=args.nprocs, seed=args.seed, quick=args.quick,
     )
-    cache = _resolve_store(args.cache)
     if args.workers:
         from .remote.pool import RemotePool
 
-        pool = RemotePool(args.workers, store=cache, timeout=args.timeout,
+        pool = RemotePool(args.workers, timeout=args.timeout,
                           retries=args.retries)
     else:
         pool = FleetScheduler(jobs=1, timeout=args.timeout,
-                              retries=args.retries, cache=cache)
+                              retries=args.retries, cache=_cache(args.cache))
     started = _time.monotonic()
     # priority -1 leases ahead of both sweep classes (0 and 1)
     pool.submit(spec, priority=-1 if args.interactive else 0)
@@ -371,20 +364,15 @@ def _cmd_status(args: argparse.Namespace) -> int:
         print(f"fleet status: --events must be >= 0, got {args.events}",
               file=sys.stderr)
         return 2
-    cache = _resolve_store(args.cache)
+    cache = _cache(args.cache)
     info = cache.describe()
     print(f"# fleet cache at {info['root']}: {info['objects']} artifact(s), "
           f"{info['size_bytes'] / 1024:.1f} KiB")
     # a remote store keeps no event log, so it has no last-sweep line
     events_path = getattr(cache, "events_path", None)
     if events_path is not None:
-        try:
-            records = list(read_events(events_path))
-        except ValueError as exc:
-            print(f"fleet status: event log {events_path} is corrupt or "
-                  f"truncated mid-record ({exc}); re-run the sweep or repair "
-                  "the log", file=sys.stderr)
-            return 1
+        # a torn line (a crash mid-append) is skipped, not fatal
+        records = [r for r in read_jsonl(events_path) if "event" in r]
         last = _last_sweep(records)
         if last is not None:
             print(last)
@@ -396,10 +384,10 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_clean(args: argparse.Namespace) -> int:
-    cache = _resolve_store(args.cache)
+    cache = _cache(args.cache)
     if not isinstance(cache, ResultCache):
         print(f"fleet clean: {cache.root} is a remote store; run clean/gc "
-              "on the machine serving it (its --root directory)",
+              "on the machine serving it (its --cache directory)",
               file=sys.stderr)
         return 2
     if args.gc:
@@ -413,31 +401,21 @@ def _cmd_clean(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_store(args: argparse.Namespace) -> int:
-    from .remote.store import ArtifactStoreServer
-
-    server = ArtifactStoreServer(args.root, host=args.host, port=args.port,
-                                 token=args.token)
-    server.start()
-    print(f"# artifact store serving {server.cache.root} on {server.url} "
-          f"({len(server.cache)} object(s))"
-          + ("; token auth on" if args.token else "")
-          + "; Ctrl-C to stop", flush=True)
-    server.serve_forever()
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
+    if args.cache.startswith(("http://", "https://")):
+        print(f"fleet serve: --cache takes a directory, not {args.cache!r}",
+              file=sys.stderr)
+        return 2
     from .remote.coordinator import FleetCoordinator
 
     coordinator = FleetCoordinator(
-        host=args.host, port=args.port, store_url=args.store,
+        host=args.host, port=args.port, cache=args.cache,
         lease_timeout=args.lease_timeout, retries=args.retries,
         token=args.token,
     )
     coordinator.start()
-    print(f"# fleet coordinator on {coordinator.url}"
-          + (f" (store {args.store})" if args.store else "")
+    print(f"# fleet coordinator on {coordinator.url}, storing in "
+          f"{coordinator.cache.root} ({len(coordinator.cache)} object(s))"
           + ("; token auth on" if args.token else "")
           + f"; lease timeout {args.lease_timeout}s; point workers here "
           "with: repro fleet worker " + coordinator.address, flush=True)
@@ -447,18 +425,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     _export_token(args.token)
-    from .remote.store import HTTPStore
     from .remote.worker import FleetWorker
 
-    worker = FleetWorker(
-        args.coordinator,
-        worker_id=args.id,
-        store=HTTPStore(args.store) if args.store else None,
-        max_idle=args.max_idle,
-    )
+    worker = FleetWorker(args.coordinator, worker_id=args.id,
+                         max_idle=args.max_idle)
     completed = worker.run()
-    print(f"# worker {worker.worker_id}: {completed} job(s) "
-          f"({worker.store_hits} store hit(s))")
+    print(f"# worker {worker.worker_id}: {completed} job(s)")
     return 0
 
 
@@ -471,8 +443,6 @@ def cmd_fleet(args: argparse.Namespace) -> int:
         return _cmd_status(args)
     if args.fleet_command == "clean":
         return _cmd_clean(args)
-    if args.fleet_command == "store":
-        return _cmd_store(args)
     if args.fleet_command == "serve":
         return _cmd_serve(args)
     if args.fleet_command == "worker":

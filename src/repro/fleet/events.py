@@ -5,17 +5,21 @@ Every job transition is one appended line -- ``queued`` -> ``started`` ->
 ``sweep-summary`` record at the end, so an interrupted sweep still leaves a
 complete forensic trail.  The log is wall-clock-stamped (artifacts are not:
 they must stay byte-identical across reruns, timestamps live here instead).
+Readers load it with :func:`repro.observe.export.read_jsonl`, which skips a
+line torn by a crash mid-append; the next :class:`EventLog` on the file
+starts a fresh line after it, so the tear costs that one record.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Iterator, Optional, Union
+from typing import Any, Callable, Optional, Union
 
-__all__ = ["EventLog", "read_events"]
+__all__ = ["EventLog"]
 
 
 class EventLog:
@@ -33,7 +37,11 @@ class EventLog:
         self._fh = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
+            self._fh = self.path.open("ab+")
+            if self._fh.tell():  # append mode opens at the end
+                self._fh.seek(-1, os.SEEK_END)
+                if self._fh.read(1) != b"\n":
+                    self._fh.write(b"\n")  # end a line torn mid-append
 
     def emit(self, event: str, *, t: Optional[float] = None, **fields: Any) -> dict:
         """Append one record.  ``t`` overrides the clock stamp -- the remote
@@ -43,7 +51,7 @@ class EventLog:
                   "event": event, **fields}
         self.records.append(record)
         if self._fh is not None:
-            self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+            self._fh.write((json.dumps(record, sort_keys=True) + "\n").encode())
             self._fh.flush()
         return record
 
@@ -61,14 +69,3 @@ class EventLog:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def read_events(path: Union[str, Path]) -> Iterator[dict]:
-    """Load a JSONL event log back (``fleet status`` forensics)."""
-    path = Path(path)
-    if not path.exists():
-        return
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)

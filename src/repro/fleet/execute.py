@@ -21,10 +21,11 @@ a run is condensed into the artifact:
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from pathlib import Path
+from typing import Any, Optional, Union
 
 from ..observe.recorder import active as _observe_active  # mode-salt: none
-from .cache import ArtifactStore, ResultCache, StoreIntegrityError
+from .cache import ArtifactStore, ResultCache, default_cache_root
 from .spec import RunSpec, canonical_json
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "run_cached",
     "sanitize_cached",
     "default_cache",
+    "open_store",
 ]
 
 ARTIFACT_SCHEMA = 1
@@ -45,22 +47,25 @@ ARTIFACT_SCHEMA = 1
 _default_cache: Optional[ArtifactStore] = None
 
 
+def open_store(location: Union[str, Path]) -> ArtifactStore:
+    """The store at ``location``: the HTTP client for an ``http(s)://`` URL
+    (a coordinator's store), else the local directory."""
+    if isinstance(location, str) and location.startswith(("http://", "https://")):
+        from .remote.store import HTTPStore  # lazy: remote is optional
+
+        return HTTPStore(location)
+    return ResultCache(location)
+
+
 def default_cache() -> ArtifactStore:
     """The process-wide artifact store: the local directory at
     ``.repro-cache`` by default; ``REPRO_CACHE_DIR`` overrides the path, and
     an ``http(s)://`` value there selects the remote HTTP backend instead
-    (a worker machine pointing at a shared store server)."""
+    (a remote worker's jobs read and write their coordinator's store)."""
     global _default_cache
-    from .cache import default_cache_root
-
     root = default_cache_root()
     if _default_cache is None or _default_cache.root != root:
-        if isinstance(root, str):
-            from .remote.store import HTTPStore  # lazy: remote is optional
-
-            _default_cache = HTTPStore(root)
-        else:
-            _default_cache = ResultCache(root)
+        _default_cache = open_store(root)
     return _default_cache
 
 
@@ -284,14 +289,10 @@ def run_cached(spec: RunSpec, cache: Optional[ArtifactStore] = None) -> dict:
     """Execute ``spec`` through the cache: hit -> replay the stored artifact,
     miss -> run in-process and store.  The inline (non-pool) fleet path."""
     cache = cache if cache is not None else default_cache()
-    try:
-        data = cache.get(spec.digest)
-    except StoreIntegrityError:
-        # the corrupt object was quarantined server-side; a verification
-        # failure is just a miss -- re-execute and re-store
-        data = None
-    if data is not None:
-        return from_bytes(data)
+    # a corrupt object is quarantined and is a miss: re-execute, re-store
+    artifact = cache.load(spec.digest)
+    if artifact is not None:
+        return artifact
     artifact = execute_spec(spec)
     cache.put(spec.digest, to_bytes(artifact))
     return artifact

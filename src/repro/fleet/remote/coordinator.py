@@ -1,19 +1,37 @@
-"""The worker-pool protocol: job lease / heartbeat / result over HTTP.
+"""The remote service: job lease / heartbeat / result and the artifact
+store, over HTTP.
 
-``repro fleet serve`` runs one :class:`FleetCoordinator`: a priority job
-queue behind bookkeeping endpoints, with the lease/heartbeat state machine
-that makes cross-machine work-stealing safe:
+``repro fleet serve --cache DIR`` runs one :class:`FleetCoordinator`: a
+priority job queue behind bookkeeping endpoints, with the lease/heartbeat
+state machine that makes cross-machine work-stealing safe, and the
+:class:`~repro.fleet.cache.ResultCache` every artifact of its sweeps lands
+in:
 
-    =========================  ================================================
-    ``GET  /health``           liveness: worker/queue/terminal counts, feed length
-    ``GET  /status``           job counts plus :func:`tally` over the whole feed
-    ``POST /jobs``             submit a batch of specs (the sweep driver)
-    ``POST /lease``            pull one job (workers); registers the worker
-    ``POST /heartbeat``        renew a lease; ``ok: false`` = lease was stolen
-    ``POST /result``           deliver an artifact; drives retry/completion
-    ``GET  /events?cursor=N``  lifecycle event feed (the driver's poll)
-    ``POST /control``          ``drain`` (workers seen so far exit when idle)
-    =========================  ================================================
+    ==============================  ===========================================
+    ``GET  /health``                liveness: worker/queue/terminal counts,
+                                    feed length, stored ``objects``
+    ``GET  /status``                job counts plus :func:`tally` over the feed
+    ``POST /jobs``                  submit a batch of specs (the sweep driver)
+    ``POST /lease``                 pull one job (workers); registers the worker
+    ``POST /heartbeat``             renew a lease; ``ok: false`` = lease stolen
+    ``POST /result``                deliver an artifact; stores an ok one, then
+                                    drives retry/completion
+    ``GET  /events?cursor=N``       lifecycle event feed (the driver's poll)
+    ``POST /control``               ``drain`` (workers seen so far exit when idle)
+    ``GET  /stats``                 the store's ``describe()`` dict
+    ``HEAD /artifacts/<digest>``    existence probe (200 / 404)
+    ``GET  /artifacts/<digest>``    artifact bytes + ``X-Repro-SHA256`` header
+    ``PUT  /artifacts/<digest>``    atomic store; checksum verified before rename
+    ``POST /quarantine/<digest>``   evict a corrupt object (kept for forensics)
+    ==============================  ===========================================
+
+The coordinator is the one writer and the one hit check of a remote sweep.
+``/result`` stores an ok artifact whose embedded digest is the leased one
+before the job's consumers are released, so a render leased next finds its
+inputs; ``/jobs`` answers a digest already in the store as a ``done`` row
+carrying the stored artifact, which the driver logs as ``cached-hit``.
+Workers point the jobs they fork at this store (``REPRO_CACHE_DIR``), so a
+bench body reading a consumed artifact reads it here too.
 
 Lease state machine (per job)::
 
@@ -56,12 +74,15 @@ import time
 import uuid
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Iterable, Optional
+from pathlib import Path
+from typing import Any, Iterable, Optional, Union
 from urllib.parse import parse_qs, urlparse
 
-from ..execute import failure_artifact  # noqa: F401  (re-exported for workers)
+from ..cache import ResultCache, content_sha256
+from ..execute import failure_artifact, to_bytes
 from ..scheduler import DONE, PENDING, RUNNING, JobGraph
 from ..spec import RunSpec, code_version
+from .store import CHECKSUM_HEADER
 from .wire import BackgroundServer, JsonRequestHandler
 
 __all__ = ["FleetCoordinator", "DEFAULT_LEASE_TIMEOUT", "tally"]
@@ -71,11 +92,11 @@ DEFAULT_LEASE_TIMEOUT = 15.0
 
 def tally(records: Iterable[dict]) -> dict:
     """Remote-pool counters over coordinator feed records: ``steals``,
-    ``retries``, ``worker_losses``, ``chaos_kills``, ``store_hits``, and
-    per-worker ``jobs`` (leases taken), ``store_hits`` and ``lost`` leases
-    for every worker a record names -- over the whole feed that includes
-    idle workers (``worker-joined``); a sweep's slice holds only its own
-    jobs' records, so it names only the workers that served it."""
+    ``retries``, ``worker_losses``, ``chaos_kills``, and per-worker
+    ``jobs`` (leases taken) and ``lost`` leases for every worker a record
+    names -- over the whole feed that includes idle workers
+    (``worker-joined``); a sweep's slice holds only its own jobs' records,
+    so it names only the workers that served it."""
     events: Counter = Counter()
     workers: dict[str, dict] = {}
     for record in records:
@@ -84,19 +105,16 @@ def tally(records: Iterable[dict]) -> dict:
         name = record.get("worker")
         if name is None:
             continue
-        row = workers.setdefault(name, {"jobs": 0, "store_hits": 0, "lost": 0})
+        row = workers.setdefault(name, {"jobs": 0, "lost": 0})
         if event == "started":
             row["jobs"] += 1
         elif event == "lease-expired":
             row["lost"] += 1
-        elif event == "completed" and record.get("store_hit"):
-            row["store_hits"] += 1
     return {
         "steals": events["stolen"],
         "retries": events["retry"],
         "worker_losses": events["lease-expired"],
         "chaos_kills": events["chaos-kill"],
-        "store_hits": sum(row["store_hits"] for row in workers.values()),
         "workers": workers,
     }
 
@@ -111,8 +129,6 @@ class _Job:
     steals: int = 0
     wall: float = 0.0
     status: Optional[str] = None  # completed | failed (terminal)
-    artifact: Optional[dict] = None
-    cached: bool = False
     chaos_killed: bool = False
 
 
@@ -125,15 +141,16 @@ class _Lease:
 
 
 class FleetCoordinator(BackgroundServer):
-    """Job queue + lease bookkeeping behind the endpoints above.
+    """Job queue, lease bookkeeping and artifact store behind the endpoints
+    above.
 
-    Parameters mirror the fork pool where they overlap: ``retries`` and
-    ``backoff`` apply to *reported* failures; ``lease_timeout`` is the
-    heartbeat budget after which a silent worker is presumed dead; and
-    ``max_steals`` bounds re-queues from worker loss (default
-    ``retries + 2``).  ``store_url``, when set, is handed to workers at
-    lease time so a bare ``repro fleet worker host:port`` needs no store
-    flag of its own.
+    ``cache`` is the store: a :class:`ResultCache` or its directory
+    (default: the ``REPRO_CACHE_DIR`` directory, else ``.repro-cache``).
+    The other parameters mirror the fork pool where they overlap:
+    ``retries`` and ``backoff`` apply to *reported* failures;
+    ``lease_timeout`` is the heartbeat budget after which a silent worker
+    is presumed dead; and ``max_steals`` bounds re-queues from worker loss
+    (default ``retries + 2``).
     """
 
     def __init__(
@@ -145,15 +162,15 @@ class FleetCoordinator(BackgroundServer):
         retries: int = 1,
         backoff: float = 0.25,
         max_steals: Optional[int] = None,
-        store_url: Optional[str] = None,
+        cache: Union[ResultCache, str, Path, None] = None,
         token: Optional[str] = None,
         clock=time.monotonic,
     ) -> None:
         super().__init__(host, port, token=token)
+        self.cache = cache if isinstance(cache, ResultCache) else ResultCache(cache)
         self.lease_timeout = lease_timeout
         self._graph = JobGraph(retries=retries, backoff=backoff)
         self.max_steals = self._graph.retries + 2 if max_steals is None else max_steals
-        self.store_url = store_url
         #: per-job wall limit workers enforce; set by each ``/jobs`` batch
         self.job_timeout: Optional[float] = None
         self._clock = clock
@@ -186,8 +203,9 @@ class FleetCoordinator(BackgroundServer):
 
     def submit_jobs(self, payload: dict) -> dict:
         """``POST /jobs``: accept a batch of specs.  A digest already queued
-        or completed is not queued again; a failed one runs again with fresh
-        attempts (failures are never cached)."""
+        is not queued again, and one already in the store comes back as a
+        ``done`` row carrying its artifact; any other (new, failed, or
+        evicted since it ran) is queued with fresh attempts."""
         with self._lock:
             self._drained.clear()
             if payload.get("retries") is not None:
@@ -205,22 +223,12 @@ class FleetCoordinator(BackgroundServer):
             for row in payload.get("jobs", ()):
                 digest = row["digest"]
                 existing = self._jobs.get(digest)
-                if existing is not None and existing.status != "failed":
-                    if existing.node.state == DONE:
-                        # a long-lived coordinator serving successive sweep
-                        # phases: hand the terminal record straight back so
-                        # the driver need not wait on an event that already
-                        # scrolled past its feed cursor
-                        done.append({
-                            "digest": digest,
-                            "status": existing.status,
-                            "artifact": existing.artifact,
-                            "attempt": existing.node.attempts,
-                            "wall": round(existing.wall, 6),
-                            "store_hit": existing.cached,
-                        })
+                if existing is not None and existing.status is None:
+                    continue  # queued or leased: its terminal reaches the feed
+                artifact = self.cache.load(digest)
+                if artifact is not None:
+                    done.append({"digest": digest, "artifact": artifact})
                     continue
-                # new, or a failed run resubmitted: (re)queue it, fresh attempts
                 priority = int(row.get("priority", 0))
                 deps = self._graph.add(digest, priority=priority,
                                        after=row.get("after") or ())
@@ -302,7 +310,6 @@ class FleetCoordinator(BackgroundServer):
                 },
                 "timeout": self.job_timeout,
                 "heartbeat": max(0.05, self.lease_timeout / 3.0),
-                "store": self.store_url,
                 "chaos": chaos,
                 "trace": self.trace,
                 "shutdown": False,
@@ -321,8 +328,10 @@ class FleetCoordinator(BackgroundServer):
             return {"ok": True}
 
     def result(self, lease_id: str, artifact: dict, wall: float = 0.0,
-               store_hit: bool = False, trace: Optional[list] = None) -> dict:
-        """``POST /result``: terminal or retried, per the fork-pool rules."""
+               trace: Optional[list] = None) -> dict:
+        """``POST /result``: terminal or retried, per the fork-pool rules.
+        An ok artifact is stored before its consumers are released; one
+        whose embedded digest is not the leased job's is a failed attempt."""
         now = self._clock()
         with self._lock:
             self._expire_leases(now)
@@ -343,9 +352,15 @@ class FleetCoordinator(BackgroundServer):
                 self._emit("trace", digest=job.digest, job=job.label,
                            attempt=job.node.attempts, worker=lease.worker,
                            events=list(trace))
+            if artifact.get("status") == "ok" and artifact.get("digest") != job.digest:
+                artifact = failure_artifact(
+                    RunSpec.from_dict(job.spec), "digest-mismatch",
+                    f"result carries digest {str(artifact.get('digest'))[:12]}",
+                    attempts=job.node.attempts,
+                )
             if artifact.get("status") == "ok":
-                self._finish(job, "completed", artifact, cached=store_hit,
-                             worker=lease.worker)
+                self.cache.put(job.digest, to_bytes(artifact))
+                self._finish(job, "completed", artifact, worker=lease.worker)
             elif (delay := self._graph.retry(job.digest, now)) is not None:
                 error = (artifact.get("error") or {}).get("type", "error")
                 self._emit("retry", digest=job.digest, job=job.label,
@@ -356,10 +371,8 @@ class FleetCoordinator(BackgroundServer):
             return {"ok": True}
 
     def _finish(self, job: _Job, status: str, artifact: dict, *,
-                cached: bool = False, worker: Optional[str] = None) -> None:
+                worker: Optional[str] = None) -> None:
         job.status = status
-        job.artifact = artifact
-        job.cached = cached
         fields = {"digest": job.digest, "job": job.label,
                   "attempt": job.node.attempts, "wall": round(job.wall, 6),
                   "artifact": artifact}
@@ -367,8 +380,6 @@ class FleetCoordinator(BackgroundServer):
             fields["worker"] = worker
         if status == "failed":
             fields["error"] = (artifact.get("error") or {}).get("type", "error")
-        if cached:
-            fields["store_hit"] = True
         self._emit(status, **fields)
         for digest in self._graph.done(job.digest):
             consumer = self._jobs[digest]
@@ -416,6 +427,7 @@ class FleetCoordinator(BackgroundServer):
 
     def health(self) -> dict:
         now = self._clock()
+        objects = len(self.cache)
         with self._lock:
             self._expire_leases(now)
             states = Counter(job.node.state for job in self._jobs.values())
@@ -429,6 +441,7 @@ class FleetCoordinator(BackgroundServer):
                 "done": states[DONE],
                 # where a new sweep's event-feed cursor starts
                 "feed": len(self._events),
+                "objects": objects,
             }
 
     def status(self) -> dict:
@@ -460,6 +473,20 @@ class _CoordinatorHandler(JsonRequestHandler):
     def coord(self) -> FleetCoordinator:
         return self.server.service  # type: ignore[attr-defined]
 
+    def _digest(self, prefix: str) -> Optional[str]:
+        """The digest a store path names, or ``None`` after answering a
+        path outside ``prefix`` (404) or a malformed digest (400)."""
+        if not self.path.startswith(prefix):
+            self.send_json(404, {"error": "unknown endpoint"})
+            return None
+        digest = self.path[len(prefix):]
+        try:
+            self.coord.cache._object_path(digest)
+        except ValueError:
+            self.send_json(400, {"error": f"malformed digest {digest!r}"})
+            return None
+        return digest
+
     def do_GET(self) -> None:
         parsed = urlparse(self.path)
         if parsed.path == "/health":
@@ -469,17 +496,53 @@ class _CoordinatorHandler(JsonRequestHandler):
             return
         elif parsed.path == "/status":
             self.send_json(200, self.coord.status())
+        elif parsed.path == "/stats":
+            self.send_json(200, self.coord.cache.describe())
         elif parsed.path == "/events":
             try:
                 cursor = int(parse_qs(parsed.query).get("cursor", ["0"])[0])
             except ValueError:
                 cursor = 0
             self.send_json(200, self.coord.events_since(cursor))
-        else:
-            self.send_json(404, {"error": "unknown endpoint"})
+        elif (digest := self._digest("/artifacts/")) is not None:
+            data = self.coord.cache.get(digest)
+            if data is None:
+                self.send_json(404, {"error": "not found", "digest": digest})
+            else:
+                self.send_bytes(200, data, {CHECKSUM_HEADER: content_sha256(data)})
+
+    def do_HEAD(self) -> None:
+        if not self._authorized():
+            return
+        digest = self._digest("/artifacts/")
+        if digest is not None:
+            found = self.coord.cache.has(digest)
+            self.send_bytes(200 if found else 404, b"", head_only=True)
+
+    def do_PUT(self) -> None:
+        if not self._authorized():
+            return
+        digest = self._digest("/artifacts/")
+        if digest is None:
+            return
+        data = self.read_body()
+        claimed = self.headers.get(CHECKSUM_HEADER)
+        if claimed and claimed != content_sha256(data):
+            # a truncated or garbled upload must never be renamed into place
+            self.send_json(400, {"error": "checksum mismatch on upload",
+                                 "digest": digest})
+            return
+        self.coord.cache.put(digest, data)
+        self.send_json(201, {"stored": True, "digest": digest})
 
     def do_POST(self) -> None:
         if not self._authorized():
+            return
+        if self.path.startswith("/quarantine/"):
+            digest = self._digest("/quarantine/")
+            if digest is not None:
+                moved = self.coord.cache.quarantine(digest)
+                self.send_json(200, {"quarantined": moved, "digest": digest})
             return
         payload = self.read_json()
         if self.path == "/jobs":
@@ -498,7 +561,6 @@ class _CoordinatorHandler(JsonRequestHandler):
                 payload.get("lease", ""),
                 payload.get("artifact") or {},
                 payload.get("wall", 0.0),
-                bool(payload.get("store_hit")),
                 payload.get("trace"),
             ))
         elif self.path == "/control":

@@ -9,22 +9,22 @@ analysis, over remote workers.
 
 The driver:
 
-1. short-circuits each spec through the shared artifact store (the warm
-   sweep against an already-warm store does zero remote round trips per
-   hit, same as the local pool against a warm directory);
-2. submits the remaining jobs to the coordinator as one batch, each job
-   row carrying its ``after`` producers so the coordinator's
+1. submits its jobs to the coordinator as one batch, each job row
+   carrying its ``after`` producers so the coordinator's
    :class:`~repro.fleet.scheduler.JobGraph` holds a render until the
-   artifacts it consumes are terminal;
-3. polls the coordinator's event feed, re-emitting its own jobs'
+   artifacts it consumes are terminal.  The coordinator answers every
+   digest already in its store as a ``done`` row, which the driver logs
+   as ``cached-hit`` -- the remote sweep's only hit check;
+2. polls the coordinator's event feed, re-emitting its own jobs'
    lifecycle records into the sweep's :class:`EventLog` (never another
    driver's jobs or a worker joining) with the *coordinator's* timestamps
    preserved -- so ``observe`` swimlanes and critical-path analysis see
    the same ``queued/started/retry/stolen/completed`` stream a local
    sweep produces;
-4. collects terminal artifacts from the feed into ``results``, returning
+3. collects terminal artifacts from the feed into ``results``, returning
    once every job *this* pool submitted is resolved -- jobs other sweeps
-   submitted to a shared coordinator are not its business.
+   submitted to a shared coordinator are not its business.  The
+   coordinator stored each ok artifact already; the driver writes none.
 
 Failure containment mirrors the fork pool: a worker that vanishes
 mid-job trips lease expiry on the coordinator (steal + retry, bounded),
@@ -39,9 +39,8 @@ import time
 from pathlib import Path
 from typing import Optional, Union
 
-from ..cache import ArtifactStore, StoreIntegrityError
 from ..events import EventLog
-from ..execute import failure_artifact, from_bytes, to_bytes
+from ..execute import failure_artifact
 from ..scheduler import JobOutcome, summarize_outcomes
 from ..spec import RunSpec
 from .wire import Endpoint, WireError, parse_endpoint, request_json
@@ -58,9 +57,8 @@ class RemotePool:
 
     Parameters
     ----------
-    endpoint: the coordinator address (a ``host:port`` string).
-    store: the shared artifact store (driver-side hit short-circuit);
-        ``None`` disables the pre-check (workers may still have one).
+    endpoint: the coordinator address (a ``host:port`` string); its store
+        is the sweep's cache.
     timeout / retries: forwarded to the coordinator with the job batch.
     chaos_kills: arm N deterministic worker kills on the coordinator
         (the ``--chaos`` drill, remote edition).
@@ -79,7 +77,6 @@ class RemotePool:
         self,
         endpoint: Union[str, Endpoint],
         *,
-        store: Optional[ArtifactStore] = None,
         timeout: Optional[float] = None,
         retries: int = 1,
         events: Optional[EventLog] = None,
@@ -91,7 +88,6 @@ class RemotePool:
         trace_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.endpoint = parse_endpoint(endpoint)
-        self.store = store
         self.timeout = timeout
         self.retries = max(0, retries)
         self.events = events if events is not None else EventLog()
@@ -142,11 +138,12 @@ class RemotePool:
         """Drain every submitted job through the coordinator; returns
         ``{digest: artifact}``.  Job failures become failure artifacts,
         never exceptions -- same contract as the fork pool."""
-        pending = self._store_precheck()
         # the live merger holds its seal behind open remote jobs
         self.events.emit("pool-start", remote=True)
-        if pending:
-            self._poll(self._submit(pending))
+        if self._submitted:
+            cursor = self._submit()
+            if self._unresolved():
+                self._poll(cursor)
         summary = self.summary()
         self.events.emit("sweep-summary", **summary)
         if self.drain:
@@ -156,42 +153,16 @@ class RemotePool:
                 pass
         return self.results
 
-    def _store_precheck(self) -> list[str]:
-        """Resolve store hits driver-side; returns the digests still to run."""
-        pending: list[str] = []
-        for digest, (spec, _priority, _after) in self._submitted.items():
-            data = None
-            if self.store is not None:
-                try:
-                    data = self.store.get(digest)
-                except (StoreIntegrityError, WireError):
-                    data = None  # quarantined or unreachable: execute remotely
-            if data is None:
-                pending.append(digest)
-                continue
-            outcome = self.outcomes[digest]
-            self.results[digest] = from_bytes(data)
-            outcome.status = "cached"
-            outcome.cached = True
-            self.events.emit("cached-hit", digest=digest, job=outcome.job)
-        return pending
-
-    def _submit(self, pending: list[str]) -> int:
-        """Send the jobs as one batch; returns the coordinator's event-feed
-        cursor snapshotted *before* submission (a long-lived coordinator
-        has older sweeps' events in its feed)."""
-        remote = set(pending)
-        jobs = []
-        for digest in pending:
-            spec, priority, after = self._submitted[digest]
-            jobs.append({
-                "digest": digest,
-                "spec": spec.to_dict(),
-                "label": spec.label,
-                "priority": priority,
-                # store hits resolved above are already terminal
-                "after": [d for d in after if d in remote],
-            })
+    def _submit(self) -> int:
+        """Send the jobs as one batch and log the coordinator's store hits;
+        returns the coordinator's event-feed cursor snapshotted *before*
+        submission (a long-lived coordinator has older sweeps' events in
+        its feed)."""
+        jobs = [
+            {"digest": digest, "spec": spec.to_dict(), "label": spec.label,
+             "priority": priority, "after": list(after)}
+            for digest, (spec, priority, after) in self._submitted.items()
+        ]
         cursor = self._request("GET", "/health").get("feed", 0)
         payload = {
             "jobs": jobs,
@@ -203,10 +174,13 @@ class RemotePool:
             payload["chaos_kills"] = self.chaos_kills
             payload["chaos_seed"] = self.chaos_seed
         response = self._request("POST", "/jobs", payload)
-        # digests a long-lived coordinator already completed (an earlier
-        # sweep ran them) come straight back as results
         for row in response.get("done", ()):
-            self._terminal(row)
+            digest = row["digest"]
+            outcome = self.outcomes[digest]
+            self.results[digest] = row["artifact"]
+            outcome.status = "cached"
+            outcome.cached = True
+            self.events.emit("cached-hit", digest=digest, job=outcome.job)
         return cursor
 
     def _poll(self, cursor: int) -> None:
@@ -291,18 +265,8 @@ class RemotePool:
         self.results[digest] = artifact
         outcome.attempts = max(outcome.attempts, int(record.get("attempt", 1)))
         outcome.wall += float(record.get("wall", 0.0) or 0.0)
-        if record.get("event", record.get("status")) == "completed" or (
-            artifact.get("status") == "ok"
-        ):
+        if record["event"] == "completed":
             outcome.status = "completed"
-            outcome.cached = bool(record.get("store_hit") or record.get("cached"))
-            if self.store is not None and artifact:
-                # idempotent: the worker already put it; this covers a
-                # store that joined late or a worker whose put failed
-                try:
-                    self.store.put(digest, to_bytes(artifact))
-                except WireError:  # pragma: no cover - store died mid-sweep
-                    pass
         else:
             outcome.status = "failed"
             error = artifact.get("error") or {}

@@ -1,4 +1,5 @@
-"""JSON-over-HTTP plumbing shared by the store, coordinator, and clients.
+"""JSON-over-HTTP plumbing shared by the coordinator, the live
+observatory, and their clients.
 
 Everything is stdlib (``http.server`` / ``http.client``): the protocol is
 a handful of small JSON request/response bodies plus raw artifact bytes
@@ -6,7 +7,7 @@ with an ``X-Repro-SHA256`` integrity header, so no dependency is worth
 its weight.  Servers are :class:`ThreadingHTTPServer` subclasses -- one
 OS thread per in-flight request over a lock-guarded state object -- which
 is plenty for a coordinator whose requests are millisecond bookkeeping
-ops, and for a store whose requests are single-file reads/writes.
+ops and single-file store reads/writes.
 """
 
 from __future__ import annotations

@@ -9,14 +9,14 @@ coordination beyond the lease protocol:
 1. ``POST /lease`` (with this tree's ``code_version`` -- a worker built
    from different sources would compute different digests, so the
    coordinator refuses it rather than split the cache);
-2. short-circuit through the shared artifact store (another worker, or a
-   previous sweep, may have produced this digest already);
-3. otherwise fork a child with :func:`repro.fleet.scheduler.start_child`
-   -- the *same* entry point the local pool uses, so artifacts are
-   byte-identical by construction -- heartbeating the lease while the
-   child runs and enforcing the coordinator's per-job timeout;
-4. ``PUT`` the artifact to the store (successes only; failures are never
-   cached), then ``POST /result``.
+2. fork a child with :func:`repro.fleet.scheduler.start_child` -- the
+   *same* entry point the local pool uses, so artifacts are byte-identical
+   by construction -- heartbeating the lease while the child runs and
+   enforcing the coordinator's per-job timeout.  The child's
+   ``REPRO_CACHE_DIR`` is the coordinator's store, so a bench body reads
+   the artifacts it consumes from there;
+3. ``POST /result``: the coordinator stores an ok artifact (hits never
+   reach a worker: ``/jobs`` answered them).
 
 A heartbeat answered ``ok: false`` means the lease expired and the job was
 re-queued for stealing -- this worker was presumed dead (a long GC pause, a
@@ -31,6 +31,7 @@ end-to-end in tests and CI.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 import sys
@@ -39,11 +40,9 @@ import time
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from ..cache import StoreIntegrityError
-from ..execute import execute_spec, failure_artifact, from_bytes, to_bytes
+from ..execute import execute_spec, failure_artifact
 from ..scheduler import collect_child, mirror_tail, start_child, stop_child
 from ..spec import RunSpec, code_version
-from .store import HTTPStore
 from .wire import Endpoint, WireError, parse_endpoint, request_json
 
 __all__ = ["FleetWorker"]
@@ -62,15 +61,20 @@ def _default_log(message: str) -> None:  # pragma: no cover - CLI plumbing
     print(message, file=sys.stderr, flush=True)
 
 
+def _in_store(url: str, executor: Callable[[RunSpec], dict],
+              spec: RunSpec) -> dict:
+    """Run ``executor`` in the forked child with the coordinator's store at
+    ``url`` as its default cache."""
+    os.environ["REPRO_CACHE_DIR"] = url
+    return executor(spec)
+
+
 class FleetWorker:
     """One lease-execute-report loop against a coordinator.
 
-    ``store`` overrides the artifact store; by default the worker uses
-    whatever store URL the coordinator hands out at lease time (so a bare
-    ``repro fleet worker host:port`` needs no flags).  ``max_idle`` bounds
-    how long the worker polls an empty queue before exiting (``None`` =
-    poll until the coordinator drains or disappears).  Tests substitute
-    ``executor``; it must be callable in a forked child.
+    ``max_idle`` bounds how long the worker polls an empty queue before
+    exiting (``None`` = poll until the coordinator drains or disappears).
+    Tests substitute ``executor``; it must be callable in a forked child.
     """
 
     def __init__(
@@ -78,7 +82,6 @@ class FleetWorker:
         coordinator: Union[str, Endpoint],
         *,
         worker_id: Optional[str] = None,
-        store: Optional[HTTPStore] = None,
         executor: Callable[[RunSpec], dict] = execute_spec,
         poll_interval: float = 0.2,
         max_idle: Optional[float] = None,
@@ -86,13 +89,14 @@ class FleetWorker:
     ) -> None:
         self.coordinator = parse_endpoint(coordinator)
         self.worker_id = worker_id or f"{os.uname().nodename}-{os.getpid()}"
-        self.store = store
-        self.executor = executor
+        # every forked job reads and writes the coordinator's store
+        self.executor = functools.partial(
+            _in_store, f"http://{self.coordinator.address}", executor
+        )
         self.poll_interval = poll_interval
         self.max_idle = max_idle
         self.log = log if log is not None else _default_log
         self.completed = 0
-        self.store_hits = 0
 
     # -- protocol round trips ------------------------------------------------
 
@@ -163,74 +167,42 @@ class FleetWorker:
             self._serve_lease(job, response)
 
     def _serve_lease(self, job: dict, response: dict) -> None:
-        lease_id = job["lease"]
-        store = self._resolve_store(response.get("store"))
-        outcome = self._execute(job, store,
+        outcome = self._execute(job,
                                 timeout=response.get("timeout"),
                                 hb_interval=float(response.get("heartbeat", 2.0)),
                                 trace=bool(response.get("trace")))
         if outcome is None:
             return  # lease stolen mid-run; the steal path owns the job now
-        artifact, wall, store_hit, trace_events = outcome
-        if store is not None and not store_hit and artifact.get("status") == "ok":
-            try:
-                store.put(job["digest"], to_bytes(artifact))
-            except WireError as exc:  # pragma: no cover - store died mid-sweep
-                self.log(f"worker {self.worker_id}: store put failed: {exc}")
+        artifact, wall, trace_events = outcome
+        payload = {"lease": job["lease"], "artifact": artifact,
+                   "wall": round(wall, 6)}
+        if trace_events:
+            payload["trace"] = trace_events
         try:
-            payload = {
-                "lease": lease_id,
-                "artifact": artifact,
-                "wall": round(wall, 6),
-                "store_hit": store_hit,
-            }
-            if trace_events:
-                payload["trace"] = trace_events
             self._post("/result", payload)
         except WireError as exc:
             self.log(f"worker {self.worker_id}: result delivery failed: {exc}")
             return
         self.completed += 1
-        if store_hit:
-            self.store_hits += 1
-
-    def _resolve_store(self, url: Optional[str]) -> Optional[HTTPStore]:
-        if self.store is not None:
-            return self.store
-        if url:
-            self.store = HTTPStore(url)
-            # children fork with this env, so bench bodies' default_cache()
-            # resolves to the shared store too
-            os.environ["REPRO_CACHE_DIR"] = url
-            return self.store
-        return None
 
     # -- execution -----------------------------------------------------------
 
     def _execute(
         self,
         job: dict,
-        store: Optional[HTTPStore],
         *,
         timeout: Optional[float],
         hb_interval: float,
         trace: bool = False,
-    ) -> Optional[tuple[dict, float, bool, list]]:
+    ) -> Optional[tuple[dict, float, list]]:
         """Produce the artifact for one leased job.
 
-        Returns ``(artifact, wall_seconds, store_hit, trace_events)``, or
-        ``None`` when the lease was stolen mid-run (result abandoned).
+        Returns ``(artifact, wall_seconds, trace_events)``, or ``None``
+        when the lease was stolen mid-run (result abandoned).
         ``trace_events`` is the tail of the child's flight-recorder mirror
         (empty unless the coordinator asked for relay at lease time).
         """
         spec = RunSpec.from_dict(job["spec"])
-        if store is not None:
-            try:
-                data = store.get(spec.digest)
-            except (StoreIntegrityError, WireError):
-                data = None  # quarantined or unreachable: just re-execute
-            if data is not None:
-                return from_bytes(data), 0.0, True, []
         started = time.monotonic()
         deadline = started + timeout if timeout else None
         attempt = int(job.get("attempt", 1))
@@ -255,7 +227,7 @@ class FleetWorker:
                             f"exceeded {timeout}s wall-clock limit",
                             attempts=attempt,
                         ),
-                        now - started, False, mirror_tail(trace_path, TRACE_TAIL_LIMIT),
+                        now - started, mirror_tail(trace_path, TRACE_TAIL_LIMIT),
                     )
                 if not self._heartbeat(job["lease"]):
                     self.log(f"worker {self.worker_id}: lease stolen for "
@@ -264,4 +236,4 @@ class FleetWorker:
                     return None
             artifact = collect_child(proc, out_path, spec, attempt)
             wall = time.monotonic() - started
-            return artifact, wall, False, mirror_tail(trace_path, TRACE_TAIL_LIMIT)
+            return artifact, wall, mirror_tail(trace_path, TRACE_TAIL_LIMIT)

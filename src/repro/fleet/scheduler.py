@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Mapping, Optional
 from ..observe.export import read_jsonl  # mode-salt: none
 from ..observe.recorder import active as _observe_active  # mode-salt: none
 from ..observe.recorder import enable as _observe_enable  # mode-salt: none
-from .cache import ArtifactStore, StoreIntegrityError
+from .cache import ArtifactStore
 from .events import EventLog
 from .execute import execute_spec, failure_artifact, from_bytes, to_bytes
 from .spec import RunSpec
@@ -452,12 +452,10 @@ class FleetScheduler:
                 return
             outcome = self.outcomes[digest]
             if self.cache is not None and self.graph.nodes[digest].attempts == 0:
-                try:
-                    data = self.cache.get(digest)
-                except StoreIntegrityError:
-                    data = None  # quarantined server-side; run the job
-                if data is not None:
-                    self.results[digest] = from_bytes(data)
+                # a corrupt object is quarantined and is a miss: run the job
+                artifact = self.cache.load(digest)
+                if artifact is not None:
+                    self.results[digest] = artifact
                     outcome.status = "cached"
                     outcome.cached = True
                     self.events.emit("cached-hit", digest=digest, job=outcome.job)

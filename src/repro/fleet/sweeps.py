@@ -215,10 +215,10 @@ def run_sweep(
 
     With ``workers`` set (``--workers host:port``), the same single pool
     runs through the remote workers attached to that coordinator instead
-    of local forks; ``cache`` is then typically an
-    :class:`~repro.fleet.remote.store.HTTPStore` so every machine shares
-    one warm store.  ``--chaos`` additionally arms ``chaos`` deterministic
-    worker kills (seeded by ``chaos_seed``) to drill the steal/retry path.
+    of local forks, and the coordinator's store is the sweep's cache
+    (passing a ``cache`` too is a ``ValueError``).  ``--chaos``
+    additionally arms ``chaos`` deterministic worker kills (seeded by
+    ``chaos_seed``) to drill the steal/retry path.
 
     With ``trace_dir`` set (``--trace``), the scheduler and every worker
     mirror their flight recorders into that directory; afterwards the
@@ -233,7 +233,15 @@ def run_sweep(
     service only *reads* what the sweep writes anyway, so artifacts and
     cache state are identical with or without it.
     """
-    cache = cache if cache is not None else default_cache()
+    if workers:
+        if cache is not None:
+            raise ValueError("a remote sweep's cache is its coordinator's store")
+        from .remote.store import HTTPStore  # lazy: local sweeps stay lean
+        from .remote.wire import parse_endpoint
+
+        cache = HTTPStore(parse_endpoint(workers).address)
+    elif cache is None:
+        cache = default_cache()
     if live and trace_dir is None:
         raise ValueError("live=True needs a trace_dir (--live implies --trace)")
     if trace_dir is not None:
@@ -243,7 +251,7 @@ def run_sweep(
             if stale.is_file():
                 stale.unlink()
     if events is None:
-        # the remote store has no local events file; a live sweep logs
+        # a remote store has no local events file; a live sweep logs
         # next to the mirrors then ("events.log" on purpose: the mirror
         # glob and the stale cleanup only touch *.json*/*.jsonl names),
         # and a plain remote sweep keeps the log in memory
@@ -344,7 +352,7 @@ def _run_sweep(
             from .remote.pool import RemotePool  # lazy: local sweeps stay lean
 
             pool = RemotePool(
-                workers, store=cache, timeout=timeout, retries=retries,
+                workers, timeout=timeout, retries=retries,
                 events=events, chaos_kills=chaos, chaos_seed=chaos_seed,
                 drain=True, trace_dir=trace_dir,
             )
@@ -398,11 +406,12 @@ def _run_sweep(
     ]
     phases = cpath["phases"]
     summary = {
-        # schema 7: the "profiles" block is gone (predictions come from
-        # the recorded walls); schema 6 counted "workers" and "remote" from
-        # the sweep's own records, schema 5 made warm/render walls
-        # job-event windows, schema 4 added "scheduling", schema 3 "remote"
-        "schema": 7,
+        # schema 8: "remote" counts no worker store hits (the coordinator
+        # answers every hit); schema 7 dropped the "profiles"
+        # block, schema 6 counted "workers" and "remote" from the sweep's
+        # own records, schema 5 made warm/render walls job-event windows,
+        # schema 4 added "scheduling", schema 3 "remote"
+        "schema": 8,
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "suite": suite,
         # the local pool's requested concurrency (it runs at most the

@@ -23,10 +23,13 @@ also carries the wall clock at emission so streams merge across workers.
 Everything except wall timestamps (and pids/durations derived from them)
 is byte-stable across runs -- that is what the golden trace tests pin.
 
-This package deliberately imports nothing from the rest of ``repro``, and
-every import *of* it is tagged ``# mode-salt: none``: trace output never
-reaches a *cached* fleet artifact (failure artifacts are never cached), so
-an observe edit invalidates no cached results -- like ``tracetools``.
+Every import *of* this package is tagged ``# mode-salt: none``: trace
+output never reaches a *cached* fleet artifact (failure artifacts are
+never cached), so an observe edit invalidates no cached results -- like
+``tracetools``.  Its own imports from the fleet sit at the edges only:
+the ``observe`` CLI finds a cache's event log through
+:class:`~repro.fleet.cache.ResultCache`, and the live service and its
+client speak the fleet's wire module (:mod:`repro.fleet.remote.wire`).
 """
 
 from .critical_path import critical_path, render_critical_path, sweep_intervals

@@ -26,7 +26,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 from .critical_path import critical_path, render_critical_path
-from .export import MERGED_CHROME, merge_events, mirror_files, write_trace
+from .export import MERGED_CHROME, merge_events, mirror_files, read_jsonl, write_trace
 
 __all__ = ["add_observe_parser", "cmd_observe", "DEFAULT_TRACE_DIR"]
 
@@ -148,18 +148,12 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
     from ..fleet.cache import ResultCache  # mode-salt: none
-    from ..fleet.events import read_events  # mode-salt: none
 
     events_path = (
         Path(args.events) if args.events else ResultCache().events_path
     )
-    try:
-        records = list(read_events(events_path))
-    except ValueError as exc:
-        print(f"observe: event log {events_path} is corrupt or truncated "
-              f"mid-record ({exc}); re-run the sweep or repair the log",
-              file=sys.stderr)
-        return 1
+    # a torn line (a crash mid-append) is skipped, not fatal
+    records = list(read_jsonl(events_path))
     if not records:
         print(f"observe: no fleet events at {events_path} "
               "(run `repro fleet sweep` first)", file=sys.stderr)

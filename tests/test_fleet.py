@@ -29,11 +29,11 @@ from repro.fleet import (
     execute_spec,
     failure_artifact,
     from_bytes,
-    read_events,
     run_cached,
     to_bytes,
 )
 from repro.fleet.spec import freeze, thaw
+from repro.observe.export import read_jsonl
 
 
 @pytest.fixture
@@ -182,7 +182,7 @@ def test_event_log_appends_and_persists(tmp_path):
     log = EventLog(path)
     log.emit("queued", digest="d1", job="j")
     log.emit("completed", digest="d1", job="j", wall=0.5)
-    rows = list(read_events(path))
+    rows = list(read_jsonl(path))
     assert [r["event"] for r in rows] == ["queued", "completed"]
     assert rows[1]["wall"] == 0.5
     assert log.counts()["completed"] == 1
@@ -275,6 +275,28 @@ def test_scheduler_warm_cache_executes_nothing(tmp_path, pinned_version):
     summary = second.summary()
     assert summary["cached"] == 3 and summary["completed"] == 0
     assert all(results[s.digest]["status"] == "ok" for s in specs)
+
+
+def test_torn_local_object_is_quarantined_and_rerun(tmp_path, pinned_version):
+    """A local object cut short by a crash is a miss, as a torn remote one
+    is: ``run_cached`` quarantines it, re-executes and re-stores, and a
+    ``FleetScheduler`` run over the same corruption completes."""
+    cache = ResultCache(tmp_path / "cache")
+    spec = RunSpec.make("random_barrier", mode="sanitize", quick=True)
+    good = to_bytes(run_cached(spec, cache))
+    path = cache._object_path(spec.digest)
+    path.write_bytes(good[:40])
+    assert to_bytes(run_cached(spec, cache)) == good
+    assert path.read_bytes() == good
+    assert (cache.quarantine_dir / path.name).read_bytes() == good[:40]
+
+    stub = RunSpec.make("job-torn")
+    cache.put(stub.digest, to_bytes(_stub_ok(stub))[:40])
+    sched = _scheduler(cache=cache, executor=_stub_ok)
+    sched.submit(stub)
+    assert sched.run()[stub.digest]["status"] == "ok"
+    assert sched.summary()["completed"] == 1
+    assert cache.load(stub.digest) == _stub_ok(stub)
 
 
 def test_scheduler_duplicate_submissions_coalesce(pinned_version):

@@ -429,11 +429,11 @@ def test_garbage_log_and_malformed_summary_never_fail_a_sweep(tmp_path):
     bench_out.write_text("{not json")
     summary, log = sanitize_sweep(cache, bench_out=bench_out)
     assert summary["counts"]["failed"] == 0
-    assert summary["schema"] == 7
+    assert summary["schema"] == 8
     predicted = {job: w for job, w in queued_predictions(log).items() if w}
     assert predicted == {"sanitize:allcount/lam": 5.0}
     # the sweep overwrote the malformed summary with its own
-    assert json.loads(bench_out.read_text())["schema"] == 7
+    assert json.loads(bench_out.read_text())["schema"] == 8
 
 
 # ------------------------------------------------- packing-efficiency floor

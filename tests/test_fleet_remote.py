@@ -3,9 +3,10 @@
 Three layers of test:
 
 * **wire/store** -- endpoint parsing; local-dir vs HTTP backend byte
-  equivalence; digest verification (transfer corruption, garbled bodies,
-  embedded-digest drift) quarantining server-side; concurrent same-digest
-  puts staying idempotent; the stranded-``*.tmp``-file sweep regression.
+  equivalence against the coordinator's store; digest verification
+  (transfer corruption, garbled bodies, embedded-digest drift)
+  quarantining server-side; concurrent same-digest puts staying
+  idempotent; the stranded-``*.tmp``-file sweep regression.
 * **coordinator** -- the lease/heartbeat state machine driven with an
   injected fake clock: renewal, expiry -> steal, bounded worker loss ->
   ``worker-lost`` failure, reported-failure retry/backoff, ``after``
@@ -13,12 +14,13 @@ Three layers of test:
   again, the drain rule, the code-version handshake, and the
   deterministic chaos-kill schedule.
 * **end-to-end** -- real worker *processes* (fork) against an in-process
-  coordinator + store: a two-worker sweep whose artifacts are
-  byte-identical to the fork pool's, chaos SIGKILLing a live worker
+  coordinator that keeps the store: a two-worker sweep whose artifacts
+  are byte-identical to the fork pool's, chaos SIGKILLing a live worker
   mid-lease with the job stolen and completed by the survivor, a pool
   returning while another client's job still runs, two drained sweeps
-  sharing one long-lived coordinator, and ``run_sweep(workers=...)`` over
-  the synthetic bench suite matching a local sweep object-for-object.
+  sharing one long-lived coordinator (the second answered from its
+  store), and ``run_sweep(workers=...)`` over the synthetic bench suite
+  matching a local sweep object-for-object.
 
 Workers in the chaos tests must be OS processes (the kill directive is a
 self-SIGKILL); everything else keeps servers in daemon threads.
@@ -27,6 +29,7 @@ self-SIGKILL); everything else keeps servers in daemon threads.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import shutil
 import sys
 import threading
@@ -47,7 +50,6 @@ from repro.fleet import (
     to_bytes,
 )
 from repro.fleet.remote import (
-    ArtifactStoreServer,
     FleetCoordinator,
     FleetWorker,
     HTTPStore,
@@ -55,8 +57,17 @@ from repro.fleet.remote import (
     parse_endpoint,
 )
 from repro.fleet.remote.coordinator import tally
+from repro.observe.critical_path import critical_path
 
 _CTX = multiprocessing.get_context("fork")
+
+
+@pytest.fixture(autouse=True)
+def coordinator_cache(tmp_path, monkeypatch):
+    """A coordinator built without ``cache`` stores in the default cache
+    directory: give each test its own, so no stored result leaks into
+    another test's ``/jobs`` hit check."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "coordinator-cache"))
 
 
 @pytest.fixture
@@ -143,8 +154,8 @@ def test_parse_endpoint_rejects_malformed(bad):
 
 @pytest.fixture
 def store_pair(tmp_path):
-    """A running store server + client, plus a plain local cache."""
-    server = ArtifactStoreServer(tmp_path / "served").start()
+    """A coordinator serving its store + a client, plus a plain local cache."""
+    server = FleetCoordinator(cache=tmp_path / "served").start()
     try:
         yield server, HTTPStore(server.url), ResultCache(tmp_path / "local")
     finally:
@@ -173,11 +184,15 @@ def test_http_and_local_backends_round_trip_byte_identical(
     assert info["objects"] == 1 and info["hits"] == 2 and info["puts"] == 1
 
 
-def test_store_health_endpoint(store_pair):
+def test_store_health_endpoint(store_pair, pinned_version):
     _, http, _ = store_pair
     health = http.health()
     assert health["status"] == "ok"
-    assert health["service"] == "repro-artifact-store"
+    assert health["service"] == "repro-fleet-coordinator"
+    assert health["objects"] == 0
+    spec = make_specs(1)[0]
+    http.put(spec.digest, to_bytes(ok_artifact(spec)))
+    assert http.health()["objects"] == 1
 
 
 def test_embedded_digest_mismatch_raises_and_quarantines(
@@ -561,35 +576,30 @@ def wait_for(predicate, timeout=20.0, interval=0.05):
     return False
 
 
-def test_worker_short_circuits_through_store(
-    tmp_path, pinned_version, monkeypatch
-):
-    server = ArtifactStoreServer(tmp_path / "store").start()
-    # the in-thread worker exports REPRO_CACHE_DIR for its forked children;
-    # register the key so monkeypatch unwinds the mutation after the test
-    monkeypatch.setenv("REPRO_CACHE_DIR", server.url)
-    coord = FleetCoordinator(store_url=server.url, lease_timeout=5.0).start()
+def test_worker_short_circuits_through_store(tmp_path, pinned_version):
+    """A digest already in the coordinator's store is answered at
+    ``/jobs``: it is never queued, so no worker leases it."""
+    coord = FleetCoordinator(cache=tmp_path / "store", lease_timeout=5.0).start()
     try:
         (spec,) = make_specs(1)
-        # the artifact is already in the shared store (another machine's run)
-        HTTPStore(server.url).put(spec.digest, to_bytes(ok_artifact(spec)))
-        coord.submit_jobs({"jobs": job_rows([spec])})
+        # the artifact is already in the store (another machine's run)
+        HTTPStore(coord.url).put(spec.digest, to_bytes(ok_artifact(spec)))
+        response = coord.submit_jobs({"jobs": job_rows([spec])})
+        assert response["accepted"] == 0
+        (row,) = response["done"]
+        assert row["digest"] == spec.digest
+        assert row["artifact"] == ok_artifact(spec)
         # an executor that would raise proves the job body never ran
         worker = FleetWorker(
             coord.address, worker_id="w0", executor=_stub_raise,
-            poll_interval=0.02, log=lambda m: None,
+            poll_interval=0.02, log=lambda m: None, max_idle=0.2,
         )
-        thread = threading.Thread(target=worker.run, daemon=True)
-        thread.start()
-        assert wait_for(lambda: coord.status()["completed"] == 1)
-        coord.control("drain")
-        thread.join(10)
-        assert worker.store_hits == 1
-        assert coord.status()["store_hits"] == 1
-        assert coord.status()["workers"]["w0"]["store_hits"] == 1
+        assert worker.run() == 0
+        status = coord.status()
+        assert status["jobs"] == 0 and status["workers"]["w0"]["jobs"] == 0
+        assert not events_of(coord, "started")
     finally:
         coord.shutdown()
-        server.shutdown()
 
 
 def test_remote_pool_returns_once_its_own_jobs_resolve(
@@ -740,6 +750,75 @@ def test_two_sweeps_share_one_coordinator(pinned_version):
         coord.shutdown()
 
 
+def test_second_sweep_is_answered_from_the_coordinator_store(pinned_version):
+    """A later sweep on a long-lived coordinator resubmits a digest the
+    first one completed: the coordinator answers it from its store, and the
+    sweep logs and counts it as a cache hit, not as a job it ran."""
+    (spec,) = make_specs(1)
+    coord = FleetCoordinator(lease_timeout=5.0).start()
+    worker = FleetWorker(
+        coord.address, worker_id="w0", executor=_stub_ok,
+        poll_interval=0.02, log=lambda m: None,
+    )
+    thread = threading.Thread(target=worker.run, daemon=True)
+    thread.start()
+    try:
+        first = RemotePool(coord.address, retries=0, poll_interval=0.02)
+        first.submit(spec)
+        assert first.run()[spec.digest]["status"] == "ok"
+        assert first.outcomes[spec.digest].status == "completed"
+
+        second = RemotePool(coord.address, retries=0, poll_interval=0.02)
+        second.submit(spec)
+        assert second.run()[spec.digest] == ok_artifact(spec)
+        outcome = second.outcomes[spec.digest]
+        assert outcome.status == "cached" and outcome.cached
+        assert second.summary()["cached"] == 1
+        assert [r["event"] for r in second.events.records] == [
+            "pool-start", "cached-hit", "sweep-summary",
+        ]
+        cpath = critical_path(second.events.records)
+        assert (cpath["executed"], cpath["cached"]) == (0, 1)
+        coord.control("drain")
+        thread.join(10)
+        assert not thread.is_alive()
+    finally:
+        coord.control("drain")
+        thread.join(10)
+        coord.shutdown()
+
+
+def test_remote_block_has_no_store_hits():
+    """Hits are answered by the coordinator, so no worker scores one: the
+    ``remote`` block counts leases and lost leases only."""
+    records = [
+        {"event": "worker-joined", "worker": "w0"},
+        {"event": "started", "worker": "w0", "digest": "d1"},
+        {"event": "completed", "worker": "w0", "digest": "d1", "wall": 0.1},
+        {"event": "cached-hit", "digest": "d2"},
+    ]
+    remote = tally(records)
+    assert "store_hits" not in remote
+    assert remote["workers"] == {"w0": {"jobs": 1, "lost": 0}}
+
+
+def test_workers_with_cache_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """A remote run caches in its coordinator's store: ``--cache`` next to
+    ``--workers`` exits 2 before anything runs, and so does a URL given
+    to ``fleet serve --cache``."""
+    from repro.cli import main
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["fleet", "sweep", "--suite", "sanitize", "--workers", ":9",
+                 "--cache", "elsewhere"]) == 2
+    assert main(["fleet", "run", "allcount", "--workers", ":9",
+                 "--cache", "elsewhere"]) == 2
+    assert main(["fleet", "serve", "--cache", "http://127.0.0.1:9"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("exclusive") == 2 and "takes a directory" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
     specs = make_specs(6)
 
@@ -752,14 +831,10 @@ def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
         scheduler.submit(spec)
     local_results = scheduler.run()
 
-    server = ArtifactStoreServer(tmp_path / "remote").start()
-    coord = FleetCoordinator(store_url=server.url, lease_timeout=5.0).start()
+    coord = FleetCoordinator(cache=tmp_path / "remote", lease_timeout=5.0).start()
     workers = []
     try:
-        pool = RemotePool(
-            coord.address, store=HTTPStore(server.url), retries=0,
-            drain=True,
-        )
+        pool = RemotePool(coord.address, retries=0, drain=True)
         for spec in specs:
             pool.submit(spec)
         workers = [
@@ -777,7 +852,7 @@ def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
                 local_results[spec.digest]
             )
             assert (
-                server.cache._object_path(spec.digest).read_bytes()
+                coord.cache._object_path(spec.digest).read_bytes()
                 == local_cache._object_path(spec.digest).read_bytes()
             )
         # drain sent both workers home cleanly
@@ -787,7 +862,6 @@ def test_two_workers_byte_identical_to_fork_pool(tmp_path, pinned_version):
             if proc.is_alive():
                 proc.kill()
         coord.shutdown()
-        server.shutdown()
 
 
 def test_chaos_kills_worker_job_stolen_and_completed(tmp_path, pinned_version):
@@ -795,14 +869,13 @@ def test_chaos_kills_worker_job_stolen_and_completed(tmp_path, pinned_version):
     mid-lease, the lease expires, the survivor steals the job, and the
     sweep still completes every job with no artifacts lost."""
     specs = make_specs(5)
-    server = ArtifactStoreServer(tmp_path / "store").start()
     coord = FleetCoordinator(
-        store_url=server.url, lease_timeout=1.5, retries=1
+        cache=tmp_path / "store", lease_timeout=1.5, retries=1
     ).start()
     workers = []
     try:
         pool = RemotePool(
-            coord.address, store=HTTPStore(server.url), retries=1,
+            coord.address, retries=1,
             chaos_kills=2, chaos_seed=0, drain=True, worker_grace=30.0,
         )
         for spec in specs:
@@ -815,7 +888,7 @@ def test_chaos_kills_worker_job_stolen_and_completed(tmp_path, pinned_version):
         assert pool.summary()["failed"] == 0
         for spec in specs:
             assert results[spec.digest]["status"] == "ok"
-            assert server.cache.has(spec.digest)
+            assert coord.cache.has(spec.digest)
         remote = tally(pool.events.records)
         assert remote["chaos_kills"] == 1  # one armed kill fired
         assert remote["steals"] >= 1  # the victim's lease was stolen
@@ -832,7 +905,6 @@ def test_chaos_kills_worker_job_stolen_and_completed(tmp_path, pinned_version):
             if proc.is_alive():
                 proc.kill()
         coord.shutdown()
-        server.shutdown()
 
 
 # -------------------------------------------------- run_sweep over --workers
@@ -894,19 +966,18 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
     local_reports = {p.name: p.read_bytes() for p in reports.glob("*.txt")}
     shutil.rmtree(reports)
 
-    server = ArtifactStoreServer(tmp_path / "cache-remote").start()
-    coord = FleetCoordinator(store_url=server.url, lease_timeout=5.0).start()
+    coord = FleetCoordinator(cache=tmp_path / "cache-remote",
+                             lease_timeout=5.0).start()
     worker = _CTX.Process(target=_sweep_worker_entry, args=(coord.address,))
     worker.start()
     try:
-        store = HTTPStore(server.url)
         log = EventLog()
         summary = run_sweep(
-            suite="bench", retries=0, workers=coord.address, cache=store,
+            suite="bench", retries=0, workers=coord.address,
             bench_out=tmp_path / "BENCH_remote.json", events=log,
         )
         worker.join(20)
-        assert summary["schema"] == 7
+        assert summary["schema"] == 8
         # one pool for warm and render jobs alike: the remote sweep pipelines
         assert [r["event"] for r in log.records].count("pool-start") == 1
         assert summary["counts"]["failed"] == 0
@@ -915,14 +986,14 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         assert list(remote["workers"]) == ["sweep-w0"]
         assert remote["workers"]["sweep-w0"]["jobs"] >= 1
         assert summary["workers"] == 1
-        assert summary["cache"]["puts"] >= 1
+        assert summary["cache"]["root"] == coord.url
 
         # every artifact byte-identical to the local sweep's, file for file
         local_digests = set(local_cache.digests())
-        assert set(server.cache.digests()) == local_digests
+        assert set(coord.cache.digests()) == local_digests
         for digest in local_digests:
             assert (
-                server.cache._object_path(digest).read_bytes()
+                coord.cache._object_path(digest).read_bytes()
                 == local_cache._object_path(digest).read_bytes()
             )
         # and the rendered reports byte-identical too
@@ -931,12 +1002,11 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         }
         assert remote_reports == local_reports
 
-        # a warm remote re-sweep resolves everything driver-side from the
-        # shared store: all cache hits, no worker needed
+        # a warm remote re-sweep is answered from the coordinator's store:
+        # all cache hits, no worker needed
         shutil.rmtree(reports)
         warm = run_sweep(
-            suite="bench", retries=0, workers=coord.address, cache=store,
-            bench_out=None,
+            suite="bench", retries=0, workers=coord.address, bench_out=None,
         )
         assert warm["counts"]["cached"] == warm["counts"]["specs"]
         assert warm["counts"]["completed"] == 0
@@ -948,4 +1018,68 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         if worker.is_alive():
             worker.kill()
         coord.shutdown()
-        server.shutdown()
+
+
+# consumes a real (quick) tool spec, like pc_figure: at render time the
+# artifact must come from the coordinator's store, not a worker-local cache
+GAMMA = """\
+import common
+from repro.fleet import CollectOnly, RunSpec, default_cache, run_cached
+
+SPEC = RunSpec.make("allcount", mode="tool", quick=True)
+
+
+def test_gamma(benchmark):
+    if common.FLEET_COLLECT is not None:
+        common.FLEET_COLLECT.append(SPEC)
+        raise CollectOnly("gamma")
+    artifact = run_cached(SPEC, default_cache())
+    common.emit("gamma", "gamma elapsed: %r" % artifact["result"]["elapsed"])
+"""
+
+
+def _elsewhere_worker_entry(address: str, workdir: str) -> None:
+    # a worker on another machine: its own working directory, no cache set
+    os.chdir(workdir)
+    os.environ.pop("REPRO_CACHE_DIR", None)
+    FleetWorker(address, worker_id="far-w0", poll_interval=0.02,
+                log=lambda m: None).run()
+
+
+def test_remote_render_reads_consumed_artifact_from_coordinator(
+    tmp_path, remote_bench_env
+):
+    """A render on a worker reads the tool artifact it consumes from the
+    coordinator's store: the tool spec runs once, as its own leased job,
+    and the worker's working directory gets no cache of its own."""
+    from repro.fleet import run_sweep
+
+    (remote_bench_env / "bench_gamma.py").write_text(GAMMA)
+    consumed = RunSpec.make("allcount", mode="tool", quick=True)
+    workdir = tmp_path / "worker-machine"
+    workdir.mkdir()
+    coord = FleetCoordinator(cache=tmp_path / "served",
+                             lease_timeout=5.0).start()
+    worker = _CTX.Process(target=_elsewhere_worker_entry,
+                          args=(coord.address, str(workdir)))
+    worker.start()
+    try:
+        log = EventLog()
+        summary = run_sweep(suite="bench", retries=0, workers=coord.address,
+                            bench_out=None, events=log)
+        worker.join(20)
+        assert worker.exitcode == 0  # the sweep's drain sent it home
+        assert summary["counts"]["failed"] == 0
+        assert summary["render"]["rendered"] == 2
+        assert "store_hits" not in summary["remote"]
+        started = [r for r in log.records if r["event"] == "started"
+                   and r["digest"] == consumed.digest]
+        assert len(started) == 1
+        assert coord.cache.has(consumed.digest)
+        assert not (workdir / ".repro-cache").exists()
+        report = (remote_bench_env / "reports" / "gamma.txt").read_text()
+        assert report.startswith("gamma elapsed: ")
+    finally:
+        if worker.is_alive():
+            worker.kill()
+        coord.shutdown()

@@ -648,34 +648,57 @@ def test_cli_observe_critical_path_no_events(tmp_path, capsys, monkeypatch):
     assert "no fleet events" in capsys.readouterr().err
 
 
+#: a log torn mid-record (a crash during append) after one finished job
+TORN_LOG = (
+    '{"t": 0.0, "event": "pool-start", "workers": 2}\n'
+    '{"t": 0.0, "event": "started", "digest": "d1", "job": "j1", "slot": 0}\n'
+    '{"t": 0.5, "event": "completed", "digest": "d1", "job": "j1", '
+    '"wall": 0.5}\n'
+    '{"t": 0.6, "event": "started", "dig'
+)
+
+
 def test_cli_observe_critical_path_truncated_log(tmp_path, capsys):
-    """A log torn mid-record (crash during append) exits 1 with a message,
-    not a traceback."""
+    """A log torn mid-record loses only the torn line: the records before
+    it are still analysed, and the command exits 0."""
     events_path = tmp_path / "events.jsonl"
-    events_path.write_text(
-        '{"t": 0.0, "event": "pool-start", "workers": 2}\n'
-        '{"t": 0.1, "event": "started", "dig'  # torn mid-append
-    )
+    events_path.write_text(TORN_LOG)
     assert main(["observe", "critical-path", "--events",
-                 str(events_path)]) == 1
-    err = capsys.readouterr().err
-    assert "truncated" in err and "Traceback" not in err
+                 str(events_path)]) == 0
+    out, err = capsys.readouterr()
+    assert "1 executed" in out and "2 worker(s)" in out
+    assert "Traceback" not in err
 
 
 def test_cli_fleet_status_truncated_log(tmp_path, monkeypatch, capsys):
-    """``fleet status`` reports a torn event log the way ``observe
-    critical-path`` does: cache line first, then a message and exit 1."""
+    """``fleet status`` reads a torn event log the way ``observe
+    critical-path`` does: the torn line is skipped, the rest is shown."""
     monkeypatch.chdir(tmp_path)
     cache = ResultCache(tmp_path / "cache")
     cache.root.mkdir()
-    cache.events_path.write_text(
-        '{"t": 0.0, "event": "pool-start", "workers": 2}\n'
-        '{"t": 0.1, "event": "started", "dig'  # torn mid-append
-    )
-    assert main(["fleet", "status", "--cache", str(cache.root)]) == 1
+    cache.events_path.write_text(TORN_LOG)
+    assert main(["fleet", "status", "--cache", str(cache.root)]) == 0
     out, err = capsys.readouterr()
     assert out.startswith("# fleet cache at ")
-    assert "corrupt or truncated" in err and "Traceback" not in err
+    assert "pool-start" in out and "completed" in out and "job=j1" in out
+    assert "Traceback" not in err
+
+
+def test_event_log_appends_past_a_torn_line(tmp_path, monkeypatch, capsys):
+    """The next sweep's records start on a fresh line after a torn one, so
+    its ``sweep-start`` reads back and ``fleet status`` reports it."""
+    monkeypatch.chdir(tmp_path)
+    cache = ResultCache(tmp_path / "cache")
+    cache.root.mkdir()
+    cache.events_path.write_text(TORN_LOG)
+    with EventLog(cache.events_path) as log:
+        log.emit("sweep-start", suite="sanitize")
+        log.emit("sweep-summary", specs=1, completed=1, cached=0, failed=0)
+    events = [r["event"] for r in read_jsonl(cache.events_path)]
+    assert events[-2:] == ["sweep-start", "sweep-summary"]
+    assert main(["fleet", "status", "--cache", str(cache.root)]) == 0
+    out = capsys.readouterr().out
+    assert "# last sweep [sanitize]" in out and "1 jobs, 1 completed" in out
 
 
 def test_cli_fleet_status_event_count(tmp_path, monkeypatch, capsys):

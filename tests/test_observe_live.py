@@ -37,11 +37,7 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import EventLog, ResultCache, code_version, to_bytes
-from repro.fleet.remote import (
-    ArtifactStoreServer,
-    FleetCoordinator,
-    HTTPStore,
-)
+from repro.fleet.remote import FleetCoordinator, HTTPStore
 from repro.fleet.remote.wire import TOKEN_HEADER, WireError, parse_endpoint, request
 from repro.observe.critical_path import critical_path
 from repro.observe.export import merge_events, read_jsonl, write_jsonl
@@ -534,20 +530,18 @@ def test_observatory_auth_gates_everything_but_health(tmp_path):
 
 def test_store_and_coordinator_auth(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_FLEET_TOKEN", raising=False)
-    server = ArtifactStoreServer(tmp_path / "store", token="hunter2").start()
-    coord = FleetCoordinator(store_url=server.url, token="hunter2").start()
+    coord = FleetCoordinator(cache=tmp_path / "store", token="hunter2").start()
     try:
-        for address, path in ((server.address, "/stats"),
-                              (coord.address, "/status")):
-            status, _ = http_get(address, "/health")
-            assert status == 200
-            status, payload = http_get(address, path)
+        status, _ = http_get(coord.address, "/health")
+        assert status == 200
+        for path in ("/stats", "/status"):
+            status, payload = http_get(coord.address, path)
             assert status == 401 and "token" in payload["hint"]
-            status, _ = http_get(address, path, token="hunter2")
+            status, _ = http_get(coord.address, path, token="hunter2")
             assert status == 200
         # PUT/POST are gated too
         (spec,) = make_specs(1)
-        store = HTTPStore(server.url)
+        store = HTTPStore(coord.url)
         with pytest.raises(WireError):
             store.put(spec.digest, to_bytes(ok_artifact(spec)))
         # the ambient env token authenticates every wire client
@@ -556,17 +550,16 @@ def test_store_and_coordinator_auth(tmp_path, monkeypatch):
         assert store.has(spec.digest)
     finally:
         coord.shutdown()
-        server.shutdown()
 
 
 # ----------------------------------------------------- remote mirror relay
 
 
-def test_coordinator_emits_trace_relay_before_terminal(monkeypatch):
+def test_coordinator_emits_trace_relay_before_terminal(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "live-relay-test")
     code_version.cache_clear()
     try:
-        coord = FleetCoordinator()
+        coord = FleetCoordinator(cache=tmp_path)
         (spec,) = make_specs(1)
         coord.submit_jobs({"jobs": job_rows([spec]), "trace": True})
         response = coord.lease("w1", code_version())

@@ -73,7 +73,7 @@ def test_sweep_schedule_pipelined(request):
     """The sweep pipelines: its first render started before the warm
     frontier closed, and the makespan respects the LPT lower bound."""
     s = _summary(request, "--sweep-summary")
-    assert s["schema"] == 7, s["schema"]
+    assert s["schema"] == 8, s["schema"]
     sched = s["scheduling"]
     lead = sched["render_admission"]["lead"]
     assert lead is not None and lead > 0, sched["render_admission"]
