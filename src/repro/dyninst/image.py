@@ -39,9 +39,16 @@ class FunctionDef:
     ``tags`` classify the function for metric function-sets (``mpi``,
     ``sync``, ``io``, ``rma`` ...); the MDL compiler resolves ``foreach func
     in <set>`` against them.
+
+    ``entry_runs`` and ``exit_runs`` are the points' trampolines: the tuple
+    of each installed snippet's compiled closure, in execution order, or
+    ``None`` for an empty point.  They are rebuilt on every insert and
+    remove -- as Dyninst builds a point's trampolines when instrumentation
+    is inserted -- so a call runs them with no per-call lookup.
     """
 
-    __slots__ = ("name", "module", "body", "tags", "_entry", "_exit")
+    __slots__ = ("name", "module", "body", "tags", "_entry", "_exit",
+                 "entry_runs", "exit_runs")
 
     def __init__(
         self,
@@ -60,6 +67,8 @@ class FunctionDef:
         # FunctionDef is measurable launch cost
         self._entry: Optional[list[Snippet]] = None
         self._exit: Optional[list[Snippet]] = None
+        self.entry_runs: Optional[tuple] = None
+        self.exit_runs: Optional[tuple] = None
 
     # instrumentation points -------------------------------------------------
 
@@ -71,6 +80,7 @@ class FunctionDef:
             point.insert(0, snippet)
         else:
             raise ImageError(f"unknown insertion order {order!r}")
+        self._compile(where, point)
 
     def remove(self, snippet: Snippet, *, where: str) -> None:
         point = self._point(where)
@@ -80,6 +90,7 @@ class FunctionDef:
             raise ImageError(
                 f"snippet {snippet.label!r} not installed at {self.name}.{where}"
             ) from None
+        self._compile(where, point)
 
     def _point(self, where: str) -> list[Snippet]:
         if where == "entry":
@@ -92,15 +103,12 @@ class FunctionDef:
             return self._exit
         raise ImageError(f"unknown instrumentation point {where!r}")
 
-    _NO_SNIPPETS: list[Snippet] = []
-
-    def entry_snippets(self) -> list[Snippet]:
-        entry = self._entry
-        return entry if entry is not None else self._NO_SNIPPETS
-
-    def exit_snippets(self) -> list[Snippet]:
-        exit_ = self._exit
-        return exit_ if exit_ is not None else self._NO_SNIPPETS
+    def _compile(self, where: str, point: list[Snippet]) -> None:
+        runs = tuple(snippet._run for snippet in point) or None
+        if where == "entry":
+            self.entry_runs = runs
+        else:
+            self.exit_runs = runs
 
     @property
     def instrumented(self) -> bool:

@@ -468,10 +468,11 @@ class Snippet:
     snippets (which prepend, so they run first at a shared point).
 
     Construction compiles the statement tree into ``_run``, a closure
-    ``(proc, frame, at_entry) -> None`` that the instrumented-call fast path
-    in :meth:`repro.sim.process.SimProcess._run_snippets` invokes directly,
-    and raises :class:`InstrumentationError` for a node type it does not
-    know.
+    ``(proc, frame, at_entry) -> None``, and raises
+    :class:`InstrumentationError` for a node type it does not know.
+    Inserting the snippet puts ``_run`` in its point's tuple
+    (:class:`repro.dyninst.image.FunctionDef`), which every call of the
+    function runs directly.
     """
 
     __slots__ = ("statements", "guards", "label", "_run")

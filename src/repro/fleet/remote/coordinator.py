@@ -16,7 +16,8 @@ in:
     ``POST /heartbeat``             renew a lease; ``ok: false`` = lease stolen
     ``POST /result``                deliver an artifact; stores an ok one, then
                                     drives retry/completion
-    ``GET  /events?cursor=N``       lifecycle event feed (the driver's poll)
+    ``GET  /events?cursor=N``       lifecycle event feed plus the live
+                                    worker count (a sweep's one poll)
     ``POST /control``               ``drain`` (workers seen so far exit when idle)
     ``GET  /stats``                 the store's ``describe()`` dict
     ``HEAD /artifacts/<digest>``    existence probe (200 / 404)
@@ -416,6 +417,8 @@ class FleetCoordinator(BackgroundServer):
     # -- introspection (the driver / operators) ------------------------------
 
     def events_since(self, cursor: int) -> dict:
+        """``GET /events``: the feed from ``cursor`` on, plus the live
+        worker count, so a polling sweep needs no ``/health`` round trip."""
         now = self._clock()
         with self._lock:
             self._expire_leases(now)
@@ -423,7 +426,7 @@ class FleetCoordinator(BackgroundServer):
             events = self._events[cursor:]
             done = bool(self._jobs) and not self._graph.unfinished
             return {"events": events, "cursor": cursor + len(events),
-                    "done": done}
+                    "done": done, "workers": self._alive_workers(now)}
 
     def health(self) -> dict:
         now = self._clock()

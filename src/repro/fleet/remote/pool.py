@@ -188,7 +188,6 @@ class RemotePool:
         while True:
             try:
                 feed = self._request("GET", f"/events?cursor={cursor}")
-                alive = int(self._request("GET", "/health").get("workers", 0))
             except WireError:
                 self._fail_remaining("coordinator-lost",
                                      f"coordinator {self.endpoint.address} "
@@ -196,6 +195,7 @@ class RemotePool:
                 return
             events = feed.get("events", ())
             cursor = feed.get("cursor", cursor)
+            alive = int(feed.get("workers", 0))
             for record in events:
                 self._ingest(record)
             if not self._unresolved():

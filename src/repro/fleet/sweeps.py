@@ -48,7 +48,7 @@ from typing import Optional, Sequence
 from ..observe.critical_path import critical_path, phase_of  # mode-salt: none
 from ..observe.export import write_trace  # mode-salt: none
 from ..observe.recorder import recording  # mode-salt: none
-from .cache import ArtifactStore
+from .cache import ArtifactStore, CacheStats
 from .events import EventLog
 from .execute import default_cache
 from .profiles import learned_walls
@@ -405,6 +405,15 @@ def _run_sweep(
                         key=lambda o: (phase_of(o.job) == "render", -o.wall, o.job))
     ]
     phases = cpath["phases"]
+    counts = pool.summary()
+    cache_info = cache.describe()
+    if workers:
+        # the coordinator made every lookup, not this sweep's own store
+        # client: a cached-hit row is a hit, any other spec a miss
+        looked = CacheStats(hits=counts["cached"],
+                            misses=counts["specs"] - counts["cached"])
+        cache_info.update(hits=looked.hits, misses=looked.misses,
+                          hit_rate=round(looked.hit_rate, 4))
     summary = {
         # schema 8: "remote" counts no worker store hits (the coordinator
         # answers every hit); schema 7 dropped the "profiles"
@@ -418,8 +427,8 @@ def _run_sweep(
         # usable CPUs); a remote sweep's width is its workers'
         "jobs": None if workers else pool.requested_jobs,
         "workers": cpath["workers"],
-        "counts": pool.summary(),
-        "cache": cache.describe(),
+        "counts": counts,
+        "cache": cache_info,
         "remote": remote,
         "collect": {
             "benches": len(plan.benches),

@@ -37,13 +37,16 @@ Scheduling internals (the fast path; see DESIGN.md "kernel fast path"):
   and therefore every observable -- is bit-identical to unbatched
   execution; see DESIGN.md "batched event cohorts" for the invariant
   argument.
+* A task whose ``Delay(dt)`` wakeup would be the very next entry to run
+  calls :meth:`Kernel.advance` instead: the clock moves, one seq and one
+  event are consumed, and the task carries on inside the entry being
+  dispatched, with no heap round trip.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..observe.recorder import active as _observe_active  # mode-salt: none
@@ -64,6 +67,10 @@ __all__ = [
 #: only moves the crossover point -- execution order is identical either way
 BATCH_MIN_WAITERS = 8
 
+#: the run-ahead bound outside run() and while a cohort has members left
+_NO_RUN_AHEAD = float("-inf")
+_INF = float("inf")
+
 
 class SimulationError(RuntimeError):
     """Base class for errors raised by the simulation kernel."""
@@ -73,22 +80,24 @@ class DeadlockError(SimulationError):
     """Raised when tasks remain but no event can ever fire again."""
 
 
-@dataclass(frozen=True)
 class Delay:
     """Effect: resume the yielding task after ``dt`` simulated seconds."""
 
-    dt: float
+    __slots__ = ("dt",)
 
-    def __post_init__(self) -> None:
-        if self.dt < 0:
-            raise ValueError(f"negative delay: {self.dt}")
+    def __init__(self, dt: float) -> None:
+        if dt < 0:
+            raise ValueError(f"negative delay: {dt}")
+        self.dt = dt
 
 
-@dataclass(frozen=True)
 class WaitEvent:
     """Effect: suspend the yielding task until the event triggers."""
 
-    event: "SimEvent"
+    __slots__ = ("event",)
+
+    def __init__(self, event: "SimEvent") -> None:
+        self.event = event
 
 
 class SimEvent:
@@ -286,6 +295,14 @@ class Kernel:
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._live_tasks = 0
         self._failed_task: Optional[Task] = None
+        # run() state that advance() reads: the latest time a wakeup may be
+        # dispatched at (run()'s ``until``, +inf without one; _NO_RUN_AHEAD
+        # when no single entry is being dispatched), the events counted so
+        # far, advances included, and the cap on them
+        self._horizon = _NO_RUN_AHEAD
+        self._events = 0
+        self._max_events = 0
+        self._rec = None
         #: callables run (once each) just before :class:`DeadlockError` is
         #: raised, while the blocked tasks' state is still intact -- this is
         #: how correctness tools snapshot the wait-for graph.
@@ -369,6 +386,39 @@ class Kernel:
 
     # -- running ------------------------------------------------------------
 
+    def advance(self, dt: float) -> bool:
+        """Run the calling task ``dt`` ahead without a heap round trip.
+
+        Acts only when the wakeup of a ``Delay(dt)`` yielded now would be
+        the next entry run() dispatches: run() is dispatching a single entry
+        (no batched cohort has members left to run), the zero lane is empty,
+        the heap head -- cancelled or not -- is strictly later than
+        ``now + dt``, and ``now + dt`` is within run()'s ``until``.  Then
+        ``now`` becomes ``now + dt``, computed as :meth:`schedule` computes
+        it, and one seq and one event are consumed, as scheduling and
+        popping that wakeup would, so later seqs, the ``kernel.run`` event
+        count and the ``max_events`` cap all come out the same.  Returns
+        whether it acted; on ``False`` the caller yields ``Delay(dt)``.
+        """
+        if dt < 0:
+            raise ValueError(f"negative delay: {dt}")
+        t = self.now + dt
+        if t > self._horizon or self._zero:
+            return False
+        queue = self._queue
+        if queue and queue[0][0] <= t:
+            return False
+        events = self._events + 1
+        if events > self._max_events:
+            return False  # the wakeup the caller yields trips the cap
+        self._events = events
+        self._seq += 1
+        self.now = t
+        rec = self._rec
+        if rec is not None and not (events & 8191):
+            rec.counter("kernel.events", events, clock="sim", t=t)
+        return True
+
     def run(self, until: Optional[float] = None, max_events: int = 50_000_000) -> float:
         """Run until the queue drains or ``until`` simulated seconds pass.
 
@@ -381,85 +431,98 @@ class Kernel:
         heappop = heapq.heappop
         popleft = zero.popleft
         novalue = _NOVALUE
-        events = 0
         # Flight recorder: one identity check per dispatched event when
         # disabled; when enabled, counters are batched (every 8192 events)
         # so the hot loop stays tight.
         rec = _observe_active()
         run_start = rec.now() if rec is not None else 0.0
-        while True:
-            # pick the earlier lane head by (time, seq); zero-lane entries
-            # always carry time == now, so they win unless a heap entry is
-            # strictly earlier (impossible) or tied-in-time with smaller seq
-            if zero:
-                head = zero[0]
-                if queue:
-                    htime, hseq, _ = queue[0]
-                    from_zero = head.time < htime or (head.time == htime and head.seq < hseq)
-                else:
-                    from_zero = True
-                if not from_zero:
+        horizon = _INF if until is None else until
+        self._events = 0
+        self._max_events = max_events
+        self._rec = rec
+        self._horizon = horizon
+        try:
+            while True:
+                # pick the earlier lane head by (time, seq); zero-lane entries
+                # always carry time == now, so they win unless a heap entry is
+                # strictly earlier (impossible) or tied-in-time with smaller seq
+                if zero:
+                    head = zero[0]
+                    if queue:
+                        htime, hseq, _ = queue[0]
+                        from_zero = head.time < htime or (head.time == htime and head.seq < hseq)
+                    else:
+                        from_zero = True
+                    if not from_zero:
+                        head = queue[0][2]
+                elif queue:
                     head = queue[0][2]
-            elif queue:
-                head = queue[0][2]
-                from_zero = False
-            else:
-                break
-            if until is not None and head.time > until:
-                self.now = until
-                if rec is not None and events:
-                    rec.complete("kernel.run", rec.now() - run_start,
-                                 events=events)
-                return until
-            if from_zero:
-                popleft()
-            else:
-                heappop(queue)
-            if head.cancelled:
-                if not from_zero and self._cancelled:
-                    self._cancelled -= 1
-                continue
-            self.now = head.time
-            if head.__class__ is _BatchCall:
-                # run the cohort back-to-back: nothing can preempt it
-                # (zero-lane appends and heap pushes made during execution
-                # all carry seqs beyond the cohort's reserved block)
-                callbacks = head.callbacks
+                    from_zero = False
+                else:
+                    break
+                if head.time > horizon:
+                    self.now = until
+                    if rec is not None and self._events:
+                        rec.complete("kernel.run", rec.now() - run_start,
+                                     events=self._events)
+                    return until
+                if from_zero:
+                    popleft()
+                else:
+                    heappop(queue)
+                if head.cancelled:
+                    if not from_zero and self._cancelled:
+                        self._cancelled -= 1
+                    continue
+                self.now = head.time
+                if head.__class__ is _BatchCall:
+                    # run the cohort back-to-back: nothing can preempt it
+                    # (zero-lane appends and heap pushes made during execution
+                    # all carry seqs beyond the cohort's reserved block), and
+                    # no member runs ahead while another is left to run
+                    callbacks = head.callbacks
+                    value = head.value
+                    n = len(callbacks)
+                    pos = head.pos
+                    self._horizon = _NO_RUN_AHEAD
+                    try:
+                        while pos < n:
+                            callback = callbacks[pos]
+                            pos += 1
+                            if pos == n:
+                                self._horizon = horizon
+                            callback(value)
+                            events = self._events + 1
+                            self._events = events
+                            if rec is not None and not (events & 8191):
+                                rec.counter("kernel.events", events, clock="sim", t=self.now)
+                            if events > max_events:
+                                raise SimulationError(
+                                    f"exceeded max_events={max_events}; runaway simulation?"
+                                )
+                    except BaseException:
+                        # keep the cohort resumable past the raising member,
+                        # exactly like unbatched entries left in the deque
+                        if pos < n:
+                            head.pos = pos
+                            zero.appendleft(head)
+                        raise
+                    continue
                 value = head.value
-                n = len(callbacks)
-                pos = head.pos
-                try:
-                    while pos < n:
-                        callback = callbacks[pos]
-                        pos += 1
-                        callback(value)
-                        events += 1
-                        if rec is not None and not (events & 8191):
-                            rec.counter("kernel.events", events, clock="sim", t=self.now)
-                        if events > max_events:
-                            raise SimulationError(
-                                f"exceeded max_events={max_events}; runaway simulation?"
-                            )
-                except BaseException:
-                    # keep the cohort resumable past the raising member,
-                    # exactly like unbatched entries left in the deque
-                    if pos < n:
-                        head.pos = pos
-                        zero.appendleft(head)
-                    raise
-                continue
-            value = head.value
-            if value is novalue:
-                head.callback()
-            else:
-                head.callback(value)
-            events += 1
-            if rec is not None and not (events & 8191):
-                rec.counter("kernel.events", events, clock="sim", t=self.now)
-            if events > max_events:
-                raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
-        if rec is not None and events:
-            rec.complete("kernel.run", rec.now() - run_start, events=events)
+                if value is novalue:
+                    head.callback()
+                else:
+                    head.callback(value)
+                events = self._events + 1
+                self._events = events
+                if rec is not None and not (events & 8191):
+                    rec.counter("kernel.events", events, clock="sim", t=self.now)
+                if events > max_events:
+                    raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
+        finally:
+            self._horizon = _NO_RUN_AHEAD
+        if rec is not None and self._events:
+            rec.complete("kernel.run", rec.now() - run_start, events=self._events)
         if self._live_tasks > 0:
             blocked = self._live_tasks
             for hook in list(self.deadlock_hooks):

@@ -24,7 +24,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from .kernel import Delay, Kernel, SimulationError
+from .kernel import Delay, Kernel, SimulationError, WaitEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dyninst.image import FunctionDef, Image
@@ -181,15 +181,17 @@ class SimProcess:
     def compute(self, seconds: float):
         """Burn ``seconds`` of user CPU time.
 
-        Returns an iterable to drive with ``yield from``.  The zero-cost
-        case returns an empty tuple instead of instantiating a generator --
-        ``yield from ()`` resumes the caller immediately with no kernel
-        round-trip, exactly like the generator early-return did."""
+        Returns an iterable to drive with ``yield from`` at once: the burn
+        starts when this is called.  When the kernel can run ahead
+        (:meth:`Kernel.advance`), the clock and the CPU time move here and
+        the result is an empty tuple -- ``yield from ()`` resumes the caller
+        with no kernel round trip; otherwise it is a generator that yields
+        one ``Delay``.  The zero-cost case returns an empty tuple too."""
         if seconds == 0.0:
             return ()
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        return self._burn(seconds, ProcState.USER)
+        return self._burn(seconds, _USER)
 
     def syscall(self, seconds: float):
         """Burn ``seconds`` of *system* CPU time (invisible to user-CPU metrics)."""
@@ -197,34 +199,45 @@ class SimProcess:
             return ()
         if seconds < 0:
             raise ValueError(f"negative syscall time: {seconds}")
-        return self._burn(seconds, ProcState.SYSTEM)
+        return self._burn(seconds, _SYSTEM)
 
-    def _burn(self, seconds: float, state: ProcState) -> Generator:
-        # _set_state inlined twice: every compute/syscall passes through
-        # here, and the method-call overhead is measurable in message-heavy
-        # workloads.  The accrual arithmetic is identical to _set_state.
-        now = self.kernel.now
+    def _burn(self, seconds: float, state: ProcState):
+        # _set_state inlined: every compute/syscall and every snippet charge
+        # passes through here.  The accrual arithmetic is identical on both
+        # branches: the run-ahead adds ``kernel.now - now`` exactly as the
+        # resumed generator adds ``kernel.now - self._state_since``.
+        kernel = self.kernel
+        now = kernel.now
         prev = self._state
         if prev is _USER:
             self._cpu_user += now - self._state_since
         elif prev is _SYSTEM:
             self._cpu_system += now - self._state_since
+        if kernel.advance(seconds):
+            if state is _USER:
+                self._cpu_user += kernel.now - now
+            else:
+                self._cpu_system += kernel.now - now
+            self._state_since = kernel.now
+            self._state = _BLOCKED
+            return ()
         self._state_since = now
         self._state = state
+        return self._burn_delayed(seconds, state)
+
+    def _burn_delayed(self, seconds: float, state: ProcState) -> Generator:
         yield Delay(seconds)
         now = self.kernel.now
         if state is _USER:
             self._cpu_user += now - self._state_since
-        elif state is _SYSTEM:
+        else:
             self._cpu_system += now - self._state_since
         self._state_since = now
         self._state = _BLOCKED
 
     def block(self, event) -> Generator:
         """Block (no CPU accrual) until ``event`` triggers; returns its value."""
-        from .kernel import WaitEvent
-
-        self._set_state(ProcState.BLOCKED)
+        self._set_state(_BLOCKED)
         value = yield WaitEvent(event)
         return value
 
@@ -262,43 +275,47 @@ class SimProcess:
         return self._call_function(fn, args)
 
     def _call_function(self, fn: "FunctionDef", args: tuple) -> Generator:
+        # Each point's snippets run from the tuple of compiled closures the
+        # image built at insert time, and their perturbation is charged in
+        # this same generator.  The charge is ``snippet_cost`` added once
+        # per snippet, so the float is what per-snippet accrual sums to.
         stack = self.stack
         frame = Frame(fn, args, self.kernel.now, stack[-1] if stack else None)
         stack.append(frame)
         for hook in self.trace_hooks:
             hook(self, frame, "entry")
-        entry_snippets = fn.entry_snippets()
-        if entry_snippets:
-            yield from self._run_snippets(entry_snippets, frame, at_entry=True)
+        runs = fn.entry_runs
+        if runs is not None:
+            sc = self.snippet_cost
+            cost = 0.0
+            for run in runs:
+                run(self, frame, True)
+                cost += sc
+            self.snippets_executed += len(runs)
+            if cost > 0.0:
+                yield from self._burn(cost, _USER)
         result: Any = None
         try:
             result = yield from fn.body(self, *args)
         finally:
             # Exit snippets and trace hooks run even if the body raises, so
-            # timers never dangle when simulated programs abort.
+            # timers never dangle when simulated programs abort.  The exit
+            # point is read now, so snippets inserted mid-call run.
             frame.return_value = result
-            exit_snippets = fn.exit_snippets()
-            if exit_snippets:
-                yield from self._run_snippets(exit_snippets, frame, at_entry=False)
+            runs = fn.exit_runs
+            if runs is not None:
+                sc = self.snippet_cost
+                cost = 0.0
+                for run in runs:
+                    run(self, frame, False)
+                    cost += sc
+                self.snippets_executed += len(runs)
+                if cost > 0.0:
+                    yield from self._burn(cost, _USER)
             for hook in self.trace_hooks:
                 hook(self, frame, "exit")
             stack.pop()
         return result
-
-    def _run_snippets(self, snippets, frame: Frame, *, at_entry: bool) -> Generator:
-        # Invokes each snippet's compiled closure directly (skipping the
-        # Snippet.execute wrapper); cost accrues by repeated addition so the
-        # perturbation charge is bit-identical to the pre-fast-path code.
-        sc = self.snippet_cost
-        cost = 0.0
-        count = 0
-        for snippet in snippets:
-            snippet._run(self, frame, at_entry)
-            count += 1
-            cost += sc
-        self.snippets_executed += count
-        if cost > 0.0:
-            yield from self.compute(cost)
 
     def call_path(self) -> list[str]:
         return [frame.name for frame in self.stack]

@@ -147,6 +147,11 @@ class ReferenceKernel:
     def queue_depth(self) -> int:
         return len(self._queue)
 
+    def advance(self, dt: float) -> bool:
+        """Never runs ahead: every delay here is a heap round trip, which
+        is what the fast kernel's run-ahead is checked against."""
+        return False
+
     def event(self, name: str = "") -> ReferenceEvent:
         return ReferenceEvent(self, name=name)
 

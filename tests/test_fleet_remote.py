@@ -373,7 +373,7 @@ def test_lease_result_completes(pinned_version):
     feed = len(coord._events)
     assert coord.events_since(-2) == coord.events_since(0)
     assert coord.events_since(feed + 5) == {"events": [], "cursor": feed,
-                                             "done": True}
+                                             "done": True, "workers": 1}
     # resubmitting a terminal digest hands the record straight back
     again = coord.submit_jobs({"jobs": job_rows([spec])})
     assert again["accepted"] == 0
@@ -631,7 +631,10 @@ def test_remote_pool_returns_once_its_own_jobs_resolve(
         pool_thread.join(20)
         assert not pool_thread.is_alive()
         assert box["results"][mine.digest]["status"] == "ok"
-        assert coord.health()["leased"] == 1  # the other job is still running
+        # the gate is shut, so the other job cannot have finished; the
+        # worker may still be between its /result and its next /lease
+        assert coord.health()["done"] == 1
+        assert wait_for(lambda: coord.health()["leased"] == 1)
         gate.touch()
         assert wait_for(lambda: coord.status()["completed"] == 2)
         coord.control("drain")
@@ -681,6 +684,9 @@ def test_remote_pool_starts_at_the_feed_end(pinned_version):
         cursors = [int(path.split("cursor=")[1]) for path in paths
                    if path.startswith("/events")]
         assert cursors and min(cursors) >= history  # never cursor=0
+        # the cursor snapshot is the only /health: each poll reads the live
+        # worker count from its /events reply
+        assert paths.count("/health") == 1
         mine = [r["event"] for r in pool.events.records
                 if r.get("digest") == spec.digest]
         assert mine.count("queued") == 1 and mine.count("completed") == 1
@@ -1010,6 +1016,9 @@ def test_run_sweep_remote_matches_local(tmp_path, remote_bench_env):
         )
         assert warm["counts"]["cached"] == warm["counts"]["specs"]
         assert warm["counts"]["completed"] == 0
+        # ... and its cache block counts the coordinator's hits
+        assert warm["cache"]["hit_rate"] == 1.0
+        assert warm["cache"]["hits"] == warm["counts"]["cached"]
         # ... so nothing ran on any worker in this sweep
         assert warm["workers"] == 0 and warm["remote"]["workers"] == {}
         warm_reports = {p.name: p.read_bytes() for p in reports.glob("*.txt")}

@@ -10,7 +10,8 @@ cancellations, event trigger/wait churn, task spawns -- through both and
 compares the full execution logs.
 
 Also here: the cancelled-entry heap-compaction behavior (satellite of the
-fast-path PR: mass cancellation must not leak queue memory) and the
+fast-path PR: mass cancellation must not leak queue memory), the run-ahead
+(:meth:`Kernel.advance`, which the reference never takes) and the
 run-to-run determinism of the ``BENCH_kernel.json`` scenario observables.
 """
 
@@ -23,7 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import Delay, Kernel, WaitEvent
+from repro.observe.recorder import recording
+from repro.sim.kernel import Delay, Kernel, SimulationError, WaitEvent
 from repro.sim.reference import ReferenceKernel
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks"))
@@ -47,6 +49,8 @@ OP = st.one_of(
     st.tuples(st.just("spawn_waiter"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("spawn_sleeper"), st.floats(min_value=0.0, max_value=2.0,
                                                   allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("spawn_runner"), st.floats(min_value=0.0, max_value=2.0,
+                                                 allow_nan=False, allow_infinity=False)),
 )
 
 
@@ -76,6 +80,15 @@ def _execute(kernel, ops):
             yield Delay(0.5)
             log.append((tag + 3000, kernel.now))
 
+    def runner(tag, dt, event=None):
+        # SimProcess.compute's pattern: run ahead, else round-trip a Delay
+        if event is not None:
+            yield WaitEvent(event)
+        for _ in range(3):
+            if not kernel.advance(dt):
+                yield Delay(dt)
+            log.append((tag, kernel.now))
+
     next_tag = 0
     for op in ops:
         kind, arg = op
@@ -101,22 +114,30 @@ def _execute(kernel, ops):
             if events:
                 kernel.spawn(waiter(next_tag, events[arg % len(events)]),
                              name=f"w{next_tag}")
-        elif kind == "mass_wait":
-            # a fresh event with >= BATCH_MIN_WAITERS waiters parked on it:
-            # the trigger takes the batched-cohort path in the fast kernel
-            # (one _BatchCall owning a contiguous seq block) and the plain
-            # per-waiter path in the reference.  Tags divisible by 3 Delay
-            # after waking, so members escape the cohort mid-flight too.
-            ev = kernel.event(f"mass{len(events)}")
-            events.append(ev)
+        elif kind in ("mass_wait", "mass_run"):
+            # a fresh event with ``arg`` tasks parked on it, triggered from
+            # inside the run (before run() no waiter has registered yet):
+            # with >= BATCH_MIN_WAITERS the fast kernel wakes them as one
+            # batched cohort (one _BatchCall owning a contiguous seq block),
+            # the reference one entry per waiter.  Waiters whose tag is
+            # divisible by 3 Delay after waking, and runners try to run
+            # ahead, so members leave the cohort mid-flight too.
+            ev = kernel.event(f"mass{next_tag}")
             for _ in range(arg):
                 next_tag += 1
-                kernel.spawn(waiter(next_tag, ev), name=f"mw{next_tag}")
+                if kind == "mass_wait":
+                    kernel.spawn(waiter(next_tag, ev), name=f"mw{next_tag}")
+                else:
+                    kernel.spawn(runner(next_tag, (next_tag % 4) * 0.25, ev),
+                                 name=f"mr{next_tag}")
+            kernel.schedule(0.5, lambda ev=ev, tag=next_tag: ev.trigger(tag))
         elif kind == "spawn_sleeper":
             def sleeper(tag=next_tag, dt=arg):
                 yield Delay(dt)
                 log.append((tag, kernel.now))
             kernel.spawn(sleeper(), name=f"s{next_tag}")
+        elif kind == "spawn_runner":
+            kernel.spawn(runner(next_tag, arg), name=f"r{next_tag}")
     # trigger any leftover events so waiters cannot deadlock
     for ev in events:
         if not ev.triggered:
@@ -146,6 +167,7 @@ def test_mixed_workloads_match_reference(ops):
 COHORT_OP = st.one_of(
     OP,
     st.tuples(st.just("mass_wait"), st.integers(min_value=8, max_value=32)),
+    st.tuples(st.just("mass_run"), st.integers(min_value=4, max_value=20)),
 )
 
 
@@ -165,7 +187,6 @@ def test_large_cohort_matches_reference():
         ("sched", 1.0),
         ("mass_wait", 1000),
         ("sched0", 4),
-        ("trigger", 0),
         ("sched", 0.25),
     ]
     fast_log, fast_now = _execute(Kernel(), ops)
@@ -187,6 +208,105 @@ def test_zero_delay_storm_matches_reference():
     ref_log, ref_now = _execute(ReferenceKernel(), ops)
     assert fast_log == ref_log
     assert fast_now == ref_now
+
+
+# -- run-ahead -----------------------------------------------------------------
+#
+# Kernel.advance(dt) moves the clock inside the entry being dispatched when a
+# Delay(dt) wakeup would be the next entry run anyway.  The ops above check it
+# against the reference (whose advance always declines); these pin each
+# condition under which it must decline, and the event accounting.
+
+
+def _advance_from_task(kernel, dt, *, until=None):
+    """Run one task that tries ``advance(dt)`` once; (result, now after)."""
+    seen = []
+
+    def task():
+        seen.append((kernel.advance(dt), kernel.now))
+        yield from ()
+
+    kernel.spawn(task())
+    kernel.run(until=until)
+    return seen[0]
+
+
+def test_advance_declines_outside_run():
+    kernel = Kernel()
+    kernel.schedule(5.0, lambda: None)
+    assert kernel.advance(1.0) is False
+    assert kernel.now == 0.0 and kernel._seq == 1
+    kernel.run()
+    assert kernel.advance(1.0) is False and kernel.now == 5.0
+
+
+def test_advance_declines_inside_a_cohort_with_members_left():
+    kernel = Kernel()
+    go = kernel.event("go")
+    results = []
+
+    def member():
+        yield WaitEvent(go)
+        results.append(kernel.advance(1.0))
+
+    for _ in range(8):  # BATCH_MIN_WAITERS: one batched cohort
+        kernel.spawn(member())
+    kernel.schedule(0.5, lambda: go.trigger())
+    kernel.run()
+    # only the last member has no member left behind it
+    assert results == [False] * 7 + [True]
+    assert kernel.now == 1.5
+
+
+def test_advance_declines_past_until():
+    assert _advance_from_task(Kernel(), 2.0, until=1.0) == (False, 0.0)
+    # a wakeup exactly at ``until`` would still be dispatched
+    assert _advance_from_task(Kernel(), 1.0, until=1.0) == (True, 1.0)
+
+
+def test_advance_declines_when_a_heap_entry_has_the_same_time():
+    kernel = Kernel()
+    kernel.schedule(1.0, lambda: None)  # earlier seq: runs before the wakeup
+    assert _advance_from_task(kernel, 1.0) == (False, 0.0)
+    kernel = Kernel()
+    kernel.schedule(9.0, lambda: None)
+    kernel.schedule(9.0, lambda: None)  # live majority: no compaction
+    kernel.cancel(kernel.schedule(1.0, lambda: None))  # cancelled or not
+    assert _advance_from_task(kernel, 1.0) == (False, 0.0)
+    kernel = Kernel()
+    kernel.schedule(1.0, lambda: None)
+    assert _advance_from_task(kernel, 0.5) == (True, 0.5)
+
+
+def _spin(kernel, steps, dt=1.0):
+    for _ in range(steps):  # bounded: a broken guard fails, never hangs
+        if not kernel.advance(dt):
+            yield Delay(dt)
+
+
+def test_kernel_run_span_counts_advances():
+    spans = {}
+    for name, make in (("fast", Kernel), ("reference", ReferenceKernel)):
+        kernel = make()
+        with recording(capacity=64) as rec:
+            kernel.spawn(_spin(kernel, 50))
+            kernel.run()
+        spans[name] = [e["args"]["events"] for e in rec.events()
+                       if e["name"] == "kernel.run"]
+        assert kernel.now == 50.0
+    # the reference emits no span; its count is one step plus 50 wakeups
+    assert spans == {"fast": [51], "reference": []}
+
+
+def test_spinning_on_advance_still_hits_max_events():
+    stops = []
+    for make in (Kernel, ReferenceKernel):
+        kernel = make()
+        kernel.spawn(_spin(kernel, 10_000))
+        with pytest.raises(SimulationError, match="max_events=100"):
+            kernel.run(max_events=100)
+        stops.append((kernel.now, kernel._seq))
+    assert stops[0] == stops[1] == (100.0, 102)
 
 
 # -- cancellation compaction --------------------------------------------------

@@ -178,3 +178,84 @@ def test_run_main_sets_exit_state_and_fires_hooks():
     assert proc.exit_time == pytest.approx(1.0)
     assert exited == [proc.pid]
     assert proc.wall_time() == pytest.approx(1.0)
+
+
+def test_exit_snippet_inserted_mid_call_runs_at_that_exit():
+    kernel, proc = make_proc()
+    counter = CounterVar("late")
+
+    def fn(p):
+        yield from p.compute(1.0)
+
+    fdef = proc.image.add_function("fn", fn, module="app.c")
+    # inserted while fn is live: the exit point is read at exit time
+    kernel.schedule(0.5, lambda: fdef.insert(
+        Snippet([AddCounter(counter, Const(1))]), where="return"))
+
+    def body():
+        yield from proc.call("fn")
+
+    drive(kernel, body())
+    assert counter.value == 1
+    assert proc.snippets_executed == 1
+
+
+def test_snippet_cost_change_after_insert_charges_the_new_cost():
+    kernel, proc = make_proc()
+    proc.snippet_cost = 0.01
+
+    def fn(p):
+        yield from p.compute(0.0)
+
+    fdef = proc.image.add_function("fn", fn, module="app.c")
+    fdef.insert(Snippet([AddCounter(CounterVar("c"), Const(1))]), where="entry")
+    charged = []
+
+    def body():
+        yield from proc.call("fn")
+        charged.append(proc.cpu_user_time())
+        proc.snippet_cost = 0.03
+        yield from proc.call("fn")
+        charged.append(proc.cpu_user_time())
+
+    drive(kernel, body())
+    assert charged == [0.01, 0.01 + 0.03]
+
+
+def _burns(make_kernel, blocker):
+    """CPU clocks and end time of a compute/syscall mix, with an optional
+    competing timer inside the first burn; and the run-ahead decisions."""
+    kernel, proc = make_proc(make_kernel())
+    decisions = []
+    real_advance = kernel.advance
+
+    def advance(dt):
+        decisions.append(real_advance(dt))
+        return decisions[-1]
+
+    kernel.advance = advance
+
+    def body():
+        yield from proc.compute(0.1)
+        yield from proc.syscall(0.2)
+        yield from proc.compute(0.7)
+        yield from proc.syscall(0.3)
+
+    if blocker is not None:
+        kernel.schedule(blocker, lambda: None)
+    drive(kernel, body())
+    return (proc.cpu_user_time(), proc.cpu_system_time(), kernel.now), decisions
+
+
+def test_compute_and_syscall_exact_with_and_without_run_ahead():
+    from repro.sim.reference import ReferenceKernel
+
+    free, ran = _burns(Kernel, None)
+    blocked, ran_blocked = _burns(Kernel, 0.05)
+    oracle, ran_oracle = _burns(ReferenceKernel, None)
+    assert ran == [True] * 4
+    assert ran_blocked == [False, True, True, True]
+    assert ran_oracle == [False] * 4
+    # bit-identical, not approximately equal
+    assert free == blocked == oracle
+    assert free == pytest.approx((0.8, 0.5, 1.3))
