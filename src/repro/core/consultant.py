@@ -151,8 +151,8 @@ class PerformanceConsultant:
         if thresholds:
             self.thresholds.update(thresholds)
         self.experiment_window = experiment_window
-        #: dynamic call graph observed by the attach-time trace hook:
-        #: function name -> set of callee names
+        #: dynamic call graph observed by the entry hook while the search
+        #: runs: function name -> set of callee names
         self.callgraph: dict[str, set[str]] = {}
         self.root = PCNode(hypothesis=SYNC, focus=Focus.whole_program(), label="TopLevelHypothesis")
         self.root.state = NodeState.TRUE  # the root is definitional
@@ -173,24 +173,24 @@ class PerformanceConsultant:
 
     # -- callgraph hook --------------------------------------------------------
 
-    def observe_call(self, proc: Any, frame: Any, event: str) -> None:
-        # Runs on every simulated function entry/exit; avoids setdefault
-        # (which allocates its default set even on hits) and the Frame.name
-        # property (function.name reads the slot directly).
-        if event != "entry":
-            return
-        caller = frame.caller
-        if caller is None:
+    def observe_call(self, proc: Any, frame: Any) -> None:
+        # An entry hook on every simulated call: the caller is the frame
+        # below ``frame``.  Avoids setdefault (which allocates its default
+        # set even on hits) and the Frame.name property.
+        stack = proc.stack
+        if len(stack) < 2:
             return
         graph = self.callgraph
-        caller_name = caller.function.name
+        caller_name = stack[-2].function.name
         callees = graph.get(caller_name)
         if callees is None:
             callees = graph[caller_name] = set()
         callees.add(frame.function.name)
 
     def install_callgraph_hook(self, proc: Any) -> None:
-        proc.trace_hooks.append(self.observe_call)
+        # only while the search runs; start() hooks earlier attaches
+        if self._running:
+            proc.entry_hooks.append(self.observe_call)
 
     # -- search driving ------------------------------------------------------------
 
@@ -198,6 +198,8 @@ class PerformanceConsultant:
         if self._running:
             return
         self._running = True
+        for proc in self.frontend.all_procs():
+            proc.entry_hooks.append(self.observe_call)
         self.kernel.schedule(self.experiment_window / 2.0, self._tick)
 
     def _tick(self) -> None:

@@ -99,7 +99,7 @@ class Daemon:
                 hierarchy.retire(hierarchy.find(node_path))
             _daemon._exited_pending.append(exited_proc)
 
-        proc.exit_hooks.append(on_exit)
+        proc.atexit_hooks.append(on_exit)
 
         # Code hierarchy: modules and functions from the symbol table.
         for fn in proc.image.app_functions():

@@ -273,7 +273,8 @@ class BaseImpl:
 
     def _shared_body(self, method: str):
         """One body per personality method, shared by every rank's image:
-        the calling endpoint is recovered from the executing process."""
+        the calling endpoint is recovered from the executing process, and
+        the method's own generator is returned for the call to drive."""
         body = self._shared_bodies.get(method)
         if body is not None:
             return body
@@ -281,7 +282,7 @@ class BaseImpl:
         endpoints = self.universe._ep_of_proc
 
         def body(proc: SimProcess, *args: Any) -> Generator:
-            return (yield from bound(endpoints[id(proc)], proc, *args))
+            return bound(endpoints[id(proc)], proc, *args)
 
         body.__name__ = method
         self._shared_bodies[method] = body

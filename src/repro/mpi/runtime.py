@@ -65,7 +65,9 @@ class Endpoint:
 
 
 class MpiApi:
-    """The simulated program's view of MPI (all methods are generators)."""
+    """The simulated program's view of MPI: each method returns what the
+    caller drives with ``yield from`` (for MPI calls, the ``proc.call``
+    generator itself), never a generator wrapping it."""
 
     def __init__(self, endpoint: Endpoint) -> None:
         self.ep = endpoint
@@ -114,10 +116,7 @@ class MpiApi:
         return self.proc.syscall(seconds)
 
     def call(self, name: str, *args: Any) -> Generator:
-        """Call an application function registered in this process's image.
-
-        Pass-through: ``proc.call`` already returns the call generator, so
-        no wrapper generator frame is stacked per MPI-level call."""
+        """Call an application function registered in this process's image."""
         return self.proc.call(name, *args)
 
     # -- point to point -----------------------------------------------------------
@@ -134,7 +133,7 @@ class MpiApi:
     ) -> Generator:
         comm = comm or self.comm_world
         count = nbytes // datatype.size
-        yield from self.proc.call("MPI_Send", payload, count, datatype, dest, tag, comm)
+        return self.proc.call("MPI_Send", payload, count, datatype, dest, tag, comm)
 
     def recv(
         self,
@@ -164,9 +163,7 @@ class MpiApi:
     ) -> Generator:
         comm = comm or self.comm_world
         count = nbytes // datatype.size
-        return (
-            yield from self.proc.call("MPI_Isend", payload, count, datatype, dest, tag, comm)
-        )
+        return self.proc.call("MPI_Isend", payload, count, datatype, dest, tag, comm)
 
     def irecv(
         self,
@@ -176,20 +173,20 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Irecv", None, 0, BYTE, source, tag, comm))
+        return self.proc.call("MPI_Irecv", None, 0, BYTE, source, tag, comm)
 
     def wait(self, request: Request, status: Optional[Status] = None) -> Generator:
-        return (yield from self.proc.call("MPI_Wait", request, status))
+        return self.proc.call("MPI_Wait", request, status)
 
     def waitall(self, requests: Sequence[Request]) -> Generator:
-        return (yield from self.proc.call("MPI_Waitall", len(requests), list(requests), None))
+        return self.proc.call("MPI_Waitall", len(requests), list(requests), None)
 
     def waitany(self, requests: Sequence[Request]) -> Generator:
         """Returns (index, value) of the first completed request."""
-        return (yield from self.proc.call("MPI_Waitany", len(requests), list(requests)))
+        return self.proc.call("MPI_Waitany", len(requests), list(requests))
 
     def test(self, request: Request, status: Optional[Status] = None) -> Generator:
-        return (yield from self.proc.call("MPI_Test", request, status))
+        return self.proc.call("MPI_Test", request, status)
 
     def sendrecv(
         self,
@@ -205,22 +202,20 @@ class MpiApi:
         status: Optional[Status] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (
-            yield from self.proc.call(
-                "MPI_Sendrecv",
-                payload,
-                send_nbytes,
-                BYTE,
-                dest,
-                sendtag,
-                None,
-                recv_nbytes,
-                BYTE,
-                source,
-                recvtag,
-                comm,
-                status,
-            )
+        return self.proc.call(
+            "MPI_Sendrecv",
+            payload,
+            send_nbytes,
+            BYTE,
+            dest,
+            sendtag,
+            None,
+            recv_nbytes,
+            BYTE,
+            source,
+            recvtag,
+            comm,
+            status,
         )
 
     def ssend(
@@ -236,7 +231,7 @@ class MpiApi:
         """Synchronous-mode send (completes only once the receive matched)."""
         comm = comm or self.comm_world
         count = nbytes // datatype.size
-        yield from self.proc.call("MPI_Ssend", payload, count, datatype, dest, tag, comm)
+        return self.proc.call("MPI_Ssend", payload, count, datatype, dest, tag, comm)
 
     def probe(
         self,
@@ -247,7 +242,7 @@ class MpiApi:
         status: Optional[Status] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Probe", source, tag, comm, status))
+        return self.proc.call("MPI_Probe", source, tag, comm, status)
 
     def iprobe(
         self,
@@ -258,23 +253,23 @@ class MpiApi:
         status: Optional[Status] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Iprobe", source, tag, comm, status))
+        return self.proc.call("MPI_Iprobe", source, tag, comm, status)
 
     def get_count(self, status: Status, datatype: Datatype = BYTE) -> Generator:
-        return (yield from self.proc.call("MPI_Get_count", status, datatype))
+        return self.proc.call("MPI_Get_count", status, datatype)
 
     def wtime(self) -> Generator:
-        return (yield from self.proc.call("MPI_Wtime"))
+        return self.proc.call("MPI_Wtime")
 
     def abort(self, errorcode: int = 1, comm: Optional[Communicator] = None) -> Generator:
         comm = comm or self.comm_world
-        yield from self.proc.call("MPI_Abort", comm, errorcode)
+        return self.proc.call("MPI_Abort", comm, errorcode)
 
     # -- collectives -------------------------------------------------------------
 
     def barrier(self, comm: Optional[Communicator] = None) -> Generator:
         comm = comm or self.comm_world
-        yield from self.proc.call("MPI_Barrier", comm)
+        return self.proc.call("MPI_Barrier", comm)
 
     def bcast(
         self,
@@ -286,7 +281,7 @@ class MpiApi:
     ) -> Generator:
         comm = comm or self.comm_world
         count = nbytes
-        return (yield from self.proc.call("MPI_Bcast", value, count, BYTE, root, comm))
+        return self.proc.call("MPI_Bcast", value, count, BYTE, root, comm)
 
     def reduce(
         self,
@@ -298,7 +293,7 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Reduce", value, None, nbytes, BYTE, op, root, comm))
+        return self.proc.call("MPI_Reduce", value, None, nbytes, BYTE, op, root, comm)
 
     def allreduce(
         self,
@@ -309,7 +304,7 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Allreduce", value, None, nbytes, BYTE, op, comm))
+        return self.proc.call("MPI_Allreduce", value, None, nbytes, BYTE, op, comm)
 
     def gather(
         self,
@@ -320,7 +315,7 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Gather", value, nbytes, BYTE, root, comm))
+        return self.proc.call("MPI_Gather", value, nbytes, BYTE, root, comm)
 
     def scatter(
         self,
@@ -331,7 +326,7 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Scatter", values, nbytes, BYTE, root, comm))
+        return self.proc.call("MPI_Scatter", values, nbytes, BYTE, root, comm)
 
     def allgather(
         self,
@@ -341,7 +336,7 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Allgather", value, nbytes, BYTE, comm))
+        return self.proc.call("MPI_Allgather", value, nbytes, BYTE, comm)
 
     def alltoall(
         self,
@@ -351,7 +346,7 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Alltoall", list(values), nbytes, BYTE, comm))
+        return self.proc.call("MPI_Alltoall", list(values), nbytes, BYTE, comm)
 
     def comm_split(
         self,
@@ -360,7 +355,7 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_Comm_split", comm, color, key))
+        return self.proc.call("MPI_Comm_split", comm, color, key)
 
     # -- RMA -----------------------------------------------------------------------
 
@@ -375,34 +370,33 @@ class MpiApi:
         """Create a window exposing ``size`` elements of ``datatype``."""
         comm = comm or self.comm_world
         base = np.full(size, fill, dtype=datatype.np_dtype or "u1")
-        win = yield from self.proc.call(
+        return self.proc.call(
             "MPI_Win_create", base, size * datatype.size, datatype.size, None, comm
         )
-        return win
 
     def win_free(self, win: Window) -> Generator:
-        yield from self.proc.call("MPI_Win_free", win)
+        return self.proc.call("MPI_Win_free", win)
 
     def win_fence(self, win: Window, assertion: int = 0) -> Generator:
-        yield from self.proc.call("MPI_Win_fence", assertion, win)
+        return self.proc.call("MPI_Win_fence", assertion, win)
 
     def win_start(self, win: Window, group_ranks: Sequence[int], assertion: int = 0) -> Generator:
-        yield from self.proc.call("MPI_Win_start", tuple(group_ranks), assertion, win)
+        return self.proc.call("MPI_Win_start", tuple(group_ranks), assertion, win)
 
     def win_complete(self, win: Window) -> Generator:
-        yield from self.proc.call("MPI_Win_complete", win)
+        return self.proc.call("MPI_Win_complete", win)
 
     def win_post(self, win: Window, group_ranks: Sequence[int], assertion: int = 0) -> Generator:
-        yield from self.proc.call("MPI_Win_post", tuple(group_ranks), assertion, win)
+        return self.proc.call("MPI_Win_post", tuple(group_ranks), assertion, win)
 
     def win_wait(self, win: Window) -> Generator:
-        yield from self.proc.call("MPI_Win_wait", win)
+        return self.proc.call("MPI_Win_wait", win)
 
     def win_lock(self, win: Window, rank: int, lock_type: str = "exclusive") -> Generator:
-        yield from self.proc.call("MPI_Win_lock", lock_type, rank, 0, win)
+        return self.proc.call("MPI_Win_lock", lock_type, rank, 0, win)
 
     def win_unlock(self, win: Window, rank: int) -> Generator:
-        yield from self.proc.call("MPI_Win_unlock", rank, win)
+        return self.proc.call("MPI_Win_unlock", rank, win)
 
     def put(
         self,
@@ -416,7 +410,7 @@ class MpiApi:
         data = np.asarray(data)
         dtype = datatype or _datatype_for(data)
         count = int(data.shape[0])
-        yield from self.proc.call(
+        return self.proc.call(
             "MPI_Put", data, count, dtype, target_rank, target_disp, count, dtype, win
         )
 
@@ -432,7 +426,7 @@ class MpiApi:
         dest = np.asarray(dest)
         dtype = datatype or _datatype_for(dest)
         count = int(dest.shape[0])
-        yield from self.proc.call(
+        return self.proc.call(
             "MPI_Get", dest, count, dtype, target_rank, target_disp, count, dtype, win
         )
 
@@ -449,7 +443,7 @@ class MpiApi:
         data = np.asarray(data)
         dtype = datatype or _datatype_for(data)
         count = int(data.shape[0])
-        yield from self.proc.call(
+        return self.proc.call(
             "MPI_Accumulate",
             data,
             count,
@@ -475,44 +469,42 @@ class MpiApi:
         comm: Optional[Communicator] = None,
     ) -> Generator:
         comm = comm or self.comm_world
-        return (
-            yield from self.proc.call(
-                "MPI_Comm_spawn", command, list(argv), maxprocs, info or {}, root, comm
-            )
+        return self.proc.call(
+            "MPI_Comm_spawn", command, list(argv), maxprocs, info or {}, root, comm
         )
 
     def comm_get_parent(self) -> Generator:
-        return (yield from self.proc.call("MPI_Comm_get_parent"))
+        return self.proc.call("MPI_Comm_get_parent")
 
     def intercomm_merge(self, intercomm: Communicator, high: bool = False) -> Generator:
-        return (yield from self.proc.call("MPI_Intercomm_merge", intercomm, int(high)))
+        return self.proc.call("MPI_Intercomm_merge", intercomm, int(high))
 
     def comm_disconnect(self, comm: Communicator) -> Generator:
         """Collectively sever a connected (spawn) intercommunicator."""
-        yield from self.proc.call("MPI_Comm_disconnect", comm)
+        return self.proc.call("MPI_Comm_disconnect", comm)
 
     # -- naming ------------------------------------------------------------------------
 
     def comm_set_name(self, comm: Communicator, name: str) -> Generator:
-        yield from self.proc.call("MPI_Comm_set_name", comm, name)
+        return self.proc.call("MPI_Comm_set_name", comm, name)
 
     def win_set_name(self, win: Window, name: str) -> Generator:
-        yield from self.proc.call("MPI_Win_set_name", win, name)
+        return self.proc.call("MPI_Win_set_name", win, name)
 
     # -- MPI-IO --------------------------------------------------------------------------
 
     def file_open(self, filename: str, amode: str = "rw", comm: Optional[Communicator] = None) -> Generator:
         comm = comm or self.comm_world
-        return (yield from self.proc.call("MPI_File_open", comm, filename, amode, None))
+        return self.proc.call("MPI_File_open", comm, filename, amode, None)
 
     def file_write_at(self, fh, offset: int, nbytes: int) -> Generator:
-        yield from self.proc.call("MPI_File_write_at", fh, offset, None, nbytes, BYTE, None)
+        return self.proc.call("MPI_File_write_at", fh, offset, None, nbytes, BYTE, None)
 
     def file_read_at(self, fh, offset: int, nbytes: int) -> Generator:
-        return (yield from self.proc.call("MPI_File_read_at", fh, offset, None, nbytes, BYTE, None))
+        return self.proc.call("MPI_File_read_at", fh, offset, None, nbytes, BYTE, None)
 
     def file_close(self, fh) -> Generator:
-        yield from self.proc.call("MPI_File_close", fh)
+        return self.proc.call("MPI_File_close", fh)
 
 
 def _datatype_for(array: np.ndarray) -> Datatype:

@@ -17,7 +17,7 @@ performance tool uses to find processes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional, Sequence
 
 from ..dyninst.image import Image
@@ -53,9 +53,10 @@ class MpiProgram:
         return {}
 
     def register(self, image: Image, api: MpiApi) -> None:
+        # bodies return the generator they delegate to, for the call to drive
         for fname, fn in self.functions().items():
             def body(proc, *args, _fn=fn, _api=api):
-                return (yield from _fn(_api, proc, *args))
+                return _fn(_api, proc, *args)
 
             body.__name__ = fname
             image.add_function(fname, body, module=self.module, tags={"app"})
@@ -63,7 +64,7 @@ class MpiProgram:
         # the program's entry point is a function too, so tools see a
         # complete call chain (main -> app functions -> MPI)
         def main_body(proc, _self=self, _api=api):
-            return (yield from _self.main(_api))
+            return _self.main(_api)
 
         main_body.__name__ = "main"
         image.add_function("main", main_body, module=self.module, tags={"app", "entry"})
@@ -144,7 +145,7 @@ class MpiUniverse:
         #: callables (comm) run at every communicator creation.
         self.comm_hooks: list[Callable[[Communicator], None]] = []
         #: callables (kind, data) for engine-internal events (message
-        #: matching, etc.) that neither the trace hooks nor the window
+        #: matching, etc.) that neither the call hooks nor the window
         #: observers can see; used by the sanitizer.
         self.event_hooks: list[Callable[[str, dict], None]] = []
         #: callables (window) run at every window creation.

@@ -3,8 +3,9 @@
 The :class:`Sanitizer` attaches to an :class:`~repro.mpi.world.MpiUniverse`
 *before* launch and observes the run through four hook families:
 
-* per-process **trace hooks** (entry/exit around every simulated call) --
-  MPI synchronization tracking, vector clocks, request bookkeeping, message
+* per-process **call hooks** (one entry and one exit hook around every
+  simulated call, both feeding :meth:`Sanitizer._on_trace`) -- MPI
+  synchronization tracking, vector clocks, request bookkeeping, message
   counters, and the determinism digest;
 * the universe's **window hooks** plus per-window **observers** -- strict
   epoch checking and happens-before race detection for every recorded
@@ -24,7 +25,7 @@ LOCK restricted to the locked target, FREED after ``MPI_Win_free``.
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Optional
+from typing import Any
 
 from ..mpi.impls.base import COLL_TAG_BASE
 from ..mpi.rma import RmaOpKind
@@ -159,9 +160,8 @@ class Sanitizer:
         self._clocks.append(CowClock(self._clock_genesis))
         self._counters.append(_EpCounters())
         self._requests.append({})
-        proc.trace_hooks.append(
-            lambda p, frame, event, _ep=ep: self._on_trace(_ep, frame, event)
-        )
+        proc.entry_hooks.append(lambda p, frame: self._on_trace(ep, frame, "entry"))
+        proc.exit_hooks.append(lambda p, frame: self._on_trace(ep, frame, "exit"))
 
     def _on_comm(self, comm) -> None:
         # Record every communicator; the finalize check filters on the
@@ -395,7 +395,7 @@ class Sanitizer:
                     "do not match",
                 )
 
-    # -- trace hooks ---------------------------------------------------------
+    # -- call hooks ----------------------------------------------------------
 
     def _on_trace(self, ep, frame, event: str) -> None:
         idx = self._ep_index[id(ep)]

@@ -2,7 +2,7 @@
 
 This mirrors :func:`repro.analysis.runner.run_program`'s cluster shape and
 placement but installs the :class:`~repro.sanitizer.core.Sanitizer` *before*
-``launch`` (trace hooks must be in place when processes are created) and
+``launch`` (call hooks must be in place when processes are created) and
 maps run outcomes onto a :class:`~repro.sanitizer.findings.SanitizerReport`:
 
 * normal completion -> finalize leak checks run, status from the findings;

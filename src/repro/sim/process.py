@@ -15,16 +15,18 @@ It owns:
   body, and runs exit instrumentation.  This is the boundary at which the
   dynamic-instrumentation substrate operates -- the simulated equivalent of
   Dyninst trampolines.
-* **trace hooks** used by the comparator tools (MPE tracing, gprof).
+* **call hooks** (``entry_hooks``, ``exit_hooks``), each ``hook(proc,
+  frame)``, for the comparator tools, the Consultant and the sanitizer.  A
+  hooked frame is on top of :attr:`SimProcess.stack`, its caller below it:
+  only one task per process makes calls.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
-from .kernel import Delay, Kernel, SimulationError, WaitEvent
+from .kernel import Delay, Kernel, WaitEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..dyninst.image import FunctionDef, Image
@@ -56,20 +58,18 @@ class Frame:
     function call, which makes this one of the hottest allocations in the
     whole system (see DESIGN.md "kernel fast path")."""
 
-    __slots__ = ("function", "args", "entry_time", "caller", "return_value")
+    __slots__ = ("function", "args", "entry_time", "return_value")
 
     def __init__(
         self,
         function: "FunctionDef",
         args: tuple = (),
         entry_time: float = 0.0,
-        caller: Optional["Frame"] = None,
         return_value: Any = None,
     ) -> None:
         self.function = function
         self.args = args
         self.entry_time = entry_time
-        self.caller = caller
         self.return_value = return_value
 
     @property
@@ -131,11 +131,12 @@ class SimProcess:
         #: instrumentation-runtime calls snippets reach through
         #: ``BuiltinCall`` (``MPI_Type_size`` etc.), registered by the mutator
         self.instr_builtins: dict[str, Callable] = {}
-        # entry/exit trace hooks: callable(proc, frame, event) where event is
-        # "entry" or "exit"; used by MPE-style tracing and gprof.
-        self.trace_hooks: list[Callable[["SimProcess", Frame, str], None]] = []
+        # call hooks, callable(proc, frame): entry hooks run before the
+        # entry snippets, exit hooks after the exit snippets
+        self.entry_hooks: list[Callable[["SimProcess", Frame], None]] = []
+        self.exit_hooks: list[Callable[["SimProcess", Frame], None]] = []
         # hooks run when the process exits (daemon bookkeeping).
-        self.exit_hooks: list[Callable[["SimProcess"], None]] = []
+        self.atexit_hooks: list[Callable[["SimProcess"], None]] = []
         # instrumentation perturbation: virtual seconds charged per executed
         # snippet (0.0 disables perturbation entirely).
         self.snippet_cost = 0.0
@@ -256,13 +257,13 @@ class SimProcess:
 
         Resolution honours weak symbols (an MPICH ``MPI_Send`` call executes
         ``PMPI_Send``); entry and exit instrumentation snippets attached to
-        the resolved function run around the body.  The body is a generator
-        ``body(proc, *args)``.
+        the resolved function run around the body.  ``body(proc, *args)``
+        returns the generator to drive: its own or the one it delegates to.
 
         Not itself a generator: it resolves the symbol (through a
         per-process cache keyed on the image's symbol-table version) and
-        returns the call generator directly, saving one generator frame per
-        simulated call under ``yield from``.
+        returns :meth:`_call_function`'s generator, the only one between
+        the caller and the body.
         """
         image = self.image
         if self._resolve_version != image.version:
@@ -280,10 +281,10 @@ class SimProcess:
         # this same generator.  The charge is ``snippet_cost`` added once
         # per snippet, so the float is what per-snippet accrual sums to.
         stack = self.stack
-        frame = Frame(fn, args, self.kernel.now, stack[-1] if stack else None)
+        frame = Frame(fn, args, self.kernel.now)
         stack.append(frame)
-        for hook in self.trace_hooks:
-            hook(self, frame, "entry")
+        for hook in self.entry_hooks:
+            hook(self, frame)
         runs = fn.entry_runs
         if runs is not None:
             sc = self.snippet_cost
@@ -298,7 +299,7 @@ class SimProcess:
         try:
             result = yield from fn.body(self, *args)
         finally:
-            # Exit snippets and trace hooks run even if the body raises, so
+            # Exit snippets and hooks run even if the body raises, so
             # timers never dangle when simulated programs abort.  The exit
             # point is read now, so snippets inserted mid-call run.
             frame.return_value = result
@@ -312,8 +313,8 @@ class SimProcess:
                 self.snippets_executed += len(runs)
                 if cost > 0.0:
                     yield from self._burn(cost, _USER)
-            for hook in self.trace_hooks:
-                hook(self, frame, "exit")
+            for hook in self.exit_hooks:
+                hook(self, frame)
             stack.pop()
         return result
 
@@ -330,7 +331,7 @@ class SimProcess:
             self._set_state(ProcState.EXITED)
             self.exited = True
             self.exit_time = self.kernel.now
-            for hook in list(self.exit_hooks):
+            for hook in list(self.atexit_hooks):
                 hook(self)
             self.exit_event.trigger(self)
         return result

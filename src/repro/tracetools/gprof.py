@@ -4,14 +4,14 @@ Figure 19 of the paper validates Paradyn's hot-procedure diagnosis against
 gprof: ``bottleneckProcedure`` consumes 100% of the running time while the
 ``irrelevantProcedure``s are called equally often but take ~0 us/call.
 This profiler reproduces that flat-profile table (% time, cumulative /
-self seconds, calls, us/call) from the simulation's trace hooks, using
-*CPU* time like real gprof's sampling does.
+self seconds, calls, us/call) from an entry and an exit hook on each
+process's calls, using *CPU* time like real gprof's sampling does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.process import Frame, SimProcess
@@ -43,28 +43,31 @@ class GprofProfiler:
     def attach(self, proc: "SimProcess") -> None:
         self._stacks[proc.pid] = []
 
-        def hook(p: "SimProcess", frame: "Frame", kind: str) -> None:
+        def on_entry(p: "SimProcess", frame: "Frame") -> None:
             if self.app_only and "app" not in frame.function.tags:
                 # still account the time to the enclosing app function
                 return
             stack = self._stacks[p.pid]
             now_cpu = p.cpu_user_time()
-            if kind == "entry":
-                if stack:
-                    top = stack[-1]
-                    self.self_time[top[0]] = self.self_time.get(top[0], 0.0) + now_cpu - top[1]
-                name = frame.function.name
-                self.calls[name] = self.calls.get(name, 0) + 1
-                stack.append([name, now_cpu])
-            else:
-                if not stack or stack[-1][0] != frame.function.name:
-                    return  # attached mid-run; ignore unmatched exit
-                name, since = stack.pop()
-                self.self_time[name] = self.self_time.get(name, 0.0) + now_cpu - since
-                if stack:
-                    stack[-1][1] = now_cpu
+            if stack:
+                top = stack[-1]
+                self.self_time[top[0]] = self.self_time.get(top[0], 0.0) + now_cpu - top[1]
+            name = frame.function.name
+            self.calls[name] = self.calls.get(name, 0) + 1
+            stack.append([name, now_cpu])
 
-        proc.trace_hooks.append(hook)
+        def on_exit(p: "SimProcess", frame: "Frame") -> None:
+            stack = self._stacks[p.pid]
+            if not stack or stack[-1][0] != frame.function.name:
+                return  # not tracked at entry, or attached mid-run
+            now_cpu = p.cpu_user_time()
+            name, since = stack.pop()
+            self.self_time[name] = self.self_time.get(name, 0.0) + now_cpu - since
+            if stack:
+                stack[-1][1] = now_cpu
+
+        proc.entry_hooks.append(on_entry)
+        proc.exit_hooks.append(on_exit)
 
     def rows(self) -> list[FlatProfileRow]:
         names = set(self.self_time) | set(self.calls)

@@ -2,9 +2,9 @@
 
 The paper validates Paradyn's findings against MPICH's MPE profiling
 libraries viewed in Jumpshot-3 (Figures 12, 13, 16, 17).  This module is
-the MPE analogue: link-time wrappers (here: process trace hooks) record an
-event log of MPI function entry/exit per process, from which Jumpshot-style
-views are computed.
+the MPE analogue: link-time wrappers (here: an entry and an exit hook on
+each process's calls) record an event log of MPI function entry/exit per
+process, from which Jumpshot-style views are computed.
 
 The paper had to shorten the traced runs "because of file size
 limitations" -- trace logs grow with every event, the scalability problem
@@ -81,15 +81,15 @@ class MpeLogger:
 
     def attach(self, proc: "SimProcess", rank: int) -> None:
         self._ranks[proc.pid] = rank
+        proc.entry_hooks.append(lambda p, frame: self._log(p, frame, "entry"))
+        proc.exit_hooks.append(lambda p, frame: self._log(p, frame, "exit"))
 
-        def hook(p: "SimProcess", frame: "Frame", kind: str) -> None:
-            name = frame.function.name
-            if "mpi" not in frame.function.tags:
-                return
-            if self._filter is not None and name not in self._filter:
-                return
-            self.log.events.append(
-                MpeEvent(time=p.kernel.now, rank=self._ranks[p.pid], function=name, kind=kind)
-            )
-
-        proc.trace_hooks.append(hook)
+    def _log(self, p: "SimProcess", frame: "Frame", kind: str) -> None:
+        name = frame.function.name
+        if "mpi" not in frame.function.tags:
+            return
+        if self._filter is not None and name not in self._filter:
+            return
+        self.log.events.append(
+            MpeEvent(time=p.kernel.now, rank=self._ranks[p.pid], function=name, kind=kind)
+        )

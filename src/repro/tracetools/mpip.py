@@ -14,8 +14,8 @@ useful view at simulation fidelity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..mpi.world import MpiWorld
@@ -51,32 +51,27 @@ class MpipProfiler:
         self.app_time: dict[int, float] = {}  # rank -> wall time
         self.mpi_time: dict[int, float] = {}  # rank -> time inside MPI
         self._ranks: dict[int, int] = {}
-        self._entries: dict[tuple[int, int], float] = {}  # (pid, depth) -> t
 
     def attach_world(self, world: "MpiWorld") -> None:
         for ep in world.endpoints:
             self.attach(ep.proc, ep.world_rank)
 
     def attach(self, proc: "SimProcess", rank: int) -> None:
+        """Profile ``proc`` from now on.  Each MPI call is counted at its
+        exit, timed from its frame's entry time, so a call already in
+        flight when this attaches counts too."""
         self._ranks[proc.pid] = rank
 
-        def hook(p: "SimProcess", frame: "Frame", kind: str) -> None:
+        def hook(p: "SimProcess", frame: "Frame") -> None:
             if "mpi" not in frame.function.tags:
                 return
             # only the outermost MPI frame counts (internal PMPI_Sendrecv
             # inside PMPI_Barrier is the implementation's business)
-            depth = sum(1 for f in p.stack if "mpi" in f.function.tags)
-            if kind == "entry":
-                if depth == 1:
-                    self._entries[(p.pid, 1)] = p.kernel.now
+            stack = p.stack
+            if sum(1 for f in stack if "mpi" in f.function.tags) != 1:
                 return
-            if depth != 1:
-                return
-            start = self._entries.pop((p.pid, 1), None)
-            if start is None:
-                return
-            elapsed = p.kernel.now - start
-            callsite = frame.caller.name if frame.caller is not None else "<top>"
+            elapsed = p.kernel.now - frame.entry_time
+            callsite = stack[-2].name if len(stack) > 1 else "<top>"
             key = (frame.function.name, callsite)
             site = self.sites.get(key)
             if site is None:
@@ -93,12 +88,12 @@ class MpipProfiler:
             myrank = self._ranks[p.pid]
             self.mpi_time[myrank] = self.mpi_time.get(myrank, 0.0) + elapsed
 
-        proc.trace_hooks.append(hook)
+        proc.exit_hooks.append(hook)
 
         def on_exit(p: "SimProcess") -> None:
             self.app_time[self._ranks[p.pid]] = p.wall_time()
 
-        proc.exit_hooks.append(on_exit)
+        proc.atexit_hooks.append(on_exit)
 
     # -- reporting -----------------------------------------------------------
 

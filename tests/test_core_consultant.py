@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import Paradyn
-from repro.core.consultant import NodeState
+from repro.core.consultant import NodeState, PerformanceConsultant
+from repro.sim.process import SimProcess
 
 from conftest import ScriptProgram, make_universe
 
@@ -122,22 +123,76 @@ def test_render_condensed_shows_only_true_nodes():
     assert "ExcessiveIOBlockingTime" not in text
 
 
+def _outer(mpi, proc):
+    yield from mpi.call("inner")
+
+
+def _inner(mpi, proc):
+    yield from mpi.compute(0.01)
+
+
+def _nested_script(mpi):
+    yield from mpi.init()
+    for _ in range(10):
+        yield from mpi.call("outer")
+    yield from mpi.finalize()
+
+
 def test_callgraph_observed():
-    def outer(mpi, proc):
-        yield from mpi.call("inner")
-
-    def inner(mpi, proc):
-        yield from mpi.compute(0.01)
-
-    def script(mpi):
-        yield from mpi.init()
-        for _ in range(10):
-            yield from mpi.call("outer")
-        yield from mpi.finalize()
-
-    pc = run_pc(script, 1, functions={"outer": outer, "inner": inner})
+    pc = run_pc(_nested_script, 1, functions={"outer": _outer, "inner": _inner})
     assert "inner" in pc.callgraph.get("outer", set())
     assert "outer" in pc.callgraph.get("main", set())
+
+
+def test_callgraph_hook_runs_once_per_call_at_entry(monkeypatch):
+    observed, calls = [], []
+    observe_call = PerformanceConsultant.observe_call
+    call_function = SimProcess._call_function
+
+    def counting_observe(self, proc, frame):
+        observed.append(frame.function.name)
+        observe_call(self, proc, frame)
+
+    def counting_call(self, fn, args):
+        calls.append(fn.name)
+        return call_function(self, fn, args)
+
+    monkeypatch.setattr(PerformanceConsultant, "observe_call", counting_observe)
+    monkeypatch.setattr(SimProcess, "_call_function", counting_call)
+    universe = make_universe()
+    tool = Paradyn(universe, pc_experiment_window=0.5)
+    tool.run_consultant()
+    world = universe.launch(
+        ScriptProgram(_nested_script, functions={"outer": _outer, "inner": _inner}), 2
+    )
+    universe.run()
+    hook = tool.consultant.observe_call
+    for proc in world.procs():
+        assert proc.entry_hooks.count(hook) == 1
+        assert hook not in proc.exit_hooks
+    assert len(calls) > 40 and observed == calls
+    assert "inner" in tool.consultant.callgraph["outer"]
+
+
+def test_callgraph_hook_only_while_the_search_runs():
+    """Without the Consultant no call feeds the call graph; starting it
+    after launch hooks the processes already attached."""
+    functions = {"outer": _outer, "inner": _inner}
+    universe = make_universe()
+    tool = Paradyn(universe)
+    world = universe.launch(ScriptProgram(_nested_script, functions=functions), 2)
+    universe.run()
+    assert all(proc.entry_hooks == [] for proc in world.procs())
+    assert tool.consultant.callgraph == {}
+
+    universe = make_universe()
+    tool = Paradyn(universe, pc_experiment_window=0.5)
+    world = universe.launch(ScriptProgram(_nested_script, functions=functions), 2)
+    tool.run_consultant()
+    universe.run()
+    for proc in world.procs():
+        assert proc.entry_hooks == [tool.consultant.observe_call]
+    assert "outer" in tool.consultant.callgraph["main"]
 
 
 @pytest.mark.slow

@@ -99,9 +99,7 @@ def test_mpich_barrier_uses_pmpi_sendrecv():
 
     def script(mpi):
         yield from mpi.init()
-        mpi.proc.trace_hooks.append(
-            lambda p, frame, kind: calls.append(frame.name) if kind == "entry" else None
-        )
+        mpi.proc.entry_hooks.append(lambda p, frame: calls.append(frame.name))
         yield from mpi.barrier()
         yield from mpi.finalize()
 
@@ -115,9 +113,7 @@ def test_lam_barrier_is_internal():
 
     def script(mpi):
         yield from mpi.init()
-        mpi.proc.trace_hooks.append(
-            lambda p, frame, kind: calls.append(frame.name) if kind == "entry" else None
-        )
+        mpi.proc.entry_hooks.append(lambda p, frame: calls.append(frame.name))
         yield from mpi.barrier()
         yield from mpi.finalize()
 

@@ -1,5 +1,7 @@
 """Unit tests for MPI-internal structures: mailbox, comm, world, flow."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,9 +10,11 @@ from repro.mpi import ANY_SOURCE, ANY_TAG, CommunicatorError, MpiUniverse
 from repro.mpi.comm import CollectiveContext, Communicator, Group
 from repro.mpi.impls.base import FlowChannel
 from repro.mpi.message import Envelope, Mailbox, Protocol
+from repro.mpi.runtime import MpiApi
+from repro.mpi.status import Request
 from repro.sim.kernel import Kernel
 
-from conftest import ScriptProgram, make_universe
+from conftest import ScriptProgram, make_universe, run_script
 
 
 def env(src=0, tag=0, cid=1, nbytes=4, payload=None):
@@ -206,6 +210,53 @@ class TestUniverse:
             universe.launch(ScriptProgram(lambda mpi: (yield from mpi.init())), 0)
         with pytest.raises(SpawnError):
             universe.lookup_program("missing")
+
+
+class TestCallBoundary:
+    """Wrappers hand the call boundary the generator they delegate to."""
+
+    def test_no_wrapper_is_a_generator_function(self):
+        api_methods = [v for v in vars(MpiApi).values() if inspect.isfunction(v)]
+        assert len(api_methods) > 40
+        assert not any(inspect.isgeneratorfunction(fn) for fn in api_methods)
+
+        def helper(mpi, proc):
+            yield from mpi.compute(0.0)
+
+        def script(mpi):
+            yield from mpi.init()
+            yield from mpi.call("helper")
+            yield from mpi.finalize()
+
+        universe = make_universe("mpich")
+        world = universe.launch(ScriptProgram(script, functions={"helper": helper}), 1)
+        universe.run()
+        image = world.endpoints[0].proc.image
+        # register's app and main bodies, and _shared_body's (MPICH's weak
+        # MPI_Send resolves to the strong PMPI_Send)
+        for name in ("helper", "main", "MPI_Send", "PMPI_Barrier"):
+            assert not inspect.isgeneratorfunction(image.resolve(name).body), name
+
+    def test_yield_from_gives_the_bodys_value(self):
+        out = {}
+
+        def script(mpi):
+            yield from mpi.init()
+            out[mpi.rank, "barrier"] = yield from mpi.barrier()
+            if mpi.rank == 0:
+                request = yield from mpi.irecv(source=1, tag=5)
+                out[0, "irecv"] = request
+                yield from mpi.wait(request)
+            else:
+                out[1, "send"] = yield from mpi.send(0, tag=5)
+            out[mpi.rank, "wtime"] = yield from mpi.wtime()
+            yield from mpi.finalize()
+
+        run_script(script, 2)
+        assert out[0, "barrier"] is None and out[1, "barrier"] is None
+        assert out[1, "send"] is None
+        assert isinstance(out[0, "irecv"], Request)
+        assert type(out[0, "wtime"]) is float and out[1, "wtime"] > 0.0
 
 
 @settings(max_examples=25, deadline=None)

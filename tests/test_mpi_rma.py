@@ -258,9 +258,7 @@ def test_lam_fence_uses_isend_waitall_and_barrier():
         yield from mpi.init()
         win = yield from mpi.win_create(8, datatype=INT)
         yield from mpi.win_fence(win)
-        mpi.proc.trace_hooks.append(
-            lambda p, frame, kind: calls.append(frame.name) if kind == "entry" else None
-        )
+        mpi.proc.entry_hooks.append(lambda p, frame: calls.append(frame.name))
         if mpi.rank == 0:
             yield from mpi.put(win, 1, np.ones(2, dtype="i4"))
         yield from mpi.win_fence(win)
@@ -278,9 +276,7 @@ def test_mpich2_fence_is_internal():
         yield from mpi.init()
         win = yield from mpi.win_create(8, datatype=INT)
         yield from mpi.win_fence(win)
-        mpi.proc.trace_hooks.append(
-            lambda p, frame, kind: calls.append(frame.name) if kind == "entry" else None
-        )
+        mpi.proc.entry_hooks.append(lambda p, frame: calls.append(frame.name))
         if mpi.rank == 0:
             yield from mpi.put(win, 1, np.ones(2, dtype="i4"))
         yield from mpi.win_fence(win)

@@ -6,7 +6,7 @@ from repro.dyninst.image import Image
 from repro.dyninst.snippets import AddCounter, Const, CounterVar, Snippet
 from repro.sim.kernel import Kernel
 from repro.sim.node import Cluster
-from repro.sim.process import ProcState, SimProcess
+from repro.sim.process import Frame, ProcState, SimProcess
 
 
 def make_proc(kernel=None, image=None):
@@ -147,7 +147,8 @@ def test_exit_snippets_run_even_when_body_raises():
 def test_trace_hooks_fire_entry_and_exit():
     kernel, proc = make_proc()
     events = []
-    proc.trace_hooks.append(lambda p, frame, kind: events.append((frame.name, kind)))
+    proc.entry_hooks.append(lambda p, frame: events.append((frame.name, "entry")))
+    proc.exit_hooks.append(lambda p, frame: events.append((frame.name, "exit")))
 
     def fn(p):
         yield from p.compute(0.1)
@@ -161,10 +162,54 @@ def test_trace_hooks_fire_entry_and_exit():
     assert events == [("fn", "entry"), ("fn", "exit")]
 
 
+def test_hooks_bracket_the_snippets_and_find_the_caller_below():
+    """Entry hooks run before the entry snippets and exit hooks after the
+    exit snippets; the hooked frame is on top of the stack, its caller
+    just below it."""
+    kernel, proc = make_proc()
+    counter = CounterVar("c")
+    seen = []
+
+    def record(event):
+        def hook(p, frame):
+            below = p.stack[-2].name if len(p.stack) > 1 else None
+            seen.append((event, frame.name, p.stack[-1] is frame, below, counter.value))
+        return hook
+
+    proc.entry_hooks.append(record("entry"))
+    proc.exit_hooks.append(record("exit"))
+
+    def inner(p):
+        yield from p.compute(0.1)
+
+    def outer(p):
+        yield from p.call("inner")
+
+    proc.image.add_function("outer", outer, module="app.c")
+    fdef = proc.image.add_function("inner", inner, module="app.c")
+    fdef.insert(Snippet([AddCounter(counter, Const(1))]), where="entry")
+    fdef.insert(Snippet([AddCounter(counter, Const(10))]), where="return")
+
+    drive(kernel, proc.call("outer"))
+    assert seen == [
+        ("entry", "outer", True, None, 0),
+        ("entry", "inner", True, "outer", 0),
+        ("exit", "inner", True, "outer", 11),
+        ("exit", "outer", True, None, 11),
+    ]
+
+
+def test_frame_has_no_caller_slot():
+    assert "caller" not in Frame.__slots__
+    _, proc = make_proc()
+    fdef = proc.image.add_function("fn", lambda p: iter(()), module="app.c")
+    assert not hasattr(Frame(fdef), "caller")
+
+
 def test_run_main_sets_exit_state_and_fires_hooks():
     kernel, proc = make_proc()
     exited = []
-    proc.exit_hooks.append(lambda p: exited.append(p.pid))
+    proc.atexit_hooks.append(lambda p: exited.append(p.pid))
 
     def main():
         yield from proc.compute(1.0)

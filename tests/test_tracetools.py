@@ -1,11 +1,14 @@
 """Comparator tools: MPE tracing, Jumpshot views, gprof profiles."""
 
+import hashlib
+
 import pytest
 
 from repro.tracetools import (
     EVENT_BYTES,
     GprofProfiler,
     MpeLogger,
+    MpipProfiler,
     StatisticalPreview,
     render_timelines,
 )
@@ -167,3 +170,76 @@ def test_gprof_self_time_excludes_children():
     rows = {r.name: r for r in profiler.rows()}
     assert rows["parent_fn"].self_seconds == pytest.approx(0.2, rel=0.05)
     assert rows["child_fn"].self_seconds == pytest.approx(0.8, rel=0.05)
+
+
+# -- byte-exact comparator outputs --------------------------------------------
+#
+# One small MPICH run (nested PMPI calls, app callsites, nonblocking p2p)
+# with all three comparators attached.  A change to the call boundary or to
+# the tools' hooks must leave these digests as they are.
+
+
+def _crunch(mpi, proc, seconds):
+    yield from mpi.compute(seconds)
+
+
+def _exchange(mpi, proc, peer):
+    request = yield from mpi.irecv(source=peer, tag=3)
+    yield from mpi.send(peer, nbytes=256, tag=3)
+    yield from mpi.wait(request)
+
+
+def _pinned_script(mpi):
+    yield from mpi.init()
+    for _ in range(4):
+        yield from mpi.call("crunch", 0.01 * (mpi.rank + 1))
+        if mpi.rank < 2:
+            yield from mpi.call("exchange", 1 - mpi.rank)
+        yield from mpi.barrier()
+    yield from mpi.allreduce(mpi.rank)
+    yield from mpi.finalize()
+
+
+@pytest.fixture(scope="module")
+def pinned_tools():
+    universe = make_universe("mpich")
+    program = ScriptProgram(
+        _pinned_script, functions={"crunch": _crunch, "exchange": _exchange}
+    )
+    world = universe.launch(program, 3)
+    mpe, mpip, gprof = MpeLogger(), MpipProfiler(), GprofProfiler()
+    mpe.attach_world(world)
+    mpip.attach_world(world)
+    for ep in world.endpoints:
+        gprof.attach(ep.proc)
+    universe.run()
+    return mpe, mpip, gprof
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_mpe_events_pinned(pinned_tools):
+    log = pinned_tools[0].log
+    text = "".join(f"{e.time!r}|{e.rank}|{e.function}|{e.kind}\n" for e in log.events)
+    assert len(log.events) == 154
+    assert _sha(text) == "7bd158c63a84594349393581f555931994cf4170173d2b4c148d80d37ab7e0c1"
+
+
+def test_mpip_report_pinned(pinned_tools):
+    mpip = pinned_tools[1]
+    exact = repr((
+        sorted((k, s.calls, s.time, s.bytes_sent) for k, s in mpip.sites.items()),
+        sorted(mpip.mpi_time.items()),
+        sorted(mpip.app_time.items()),
+    ))
+    assert _sha(mpip.render()) == "c0ecbaf988b90161398a602c5d2aa35c388fe43c1dfb207cecaa81d368d4816a"
+    assert _sha(exact) == "fccb90f4a08a131eb13800eb46df9af21306fea623f81f2482ad27e28505020c"
+
+
+def test_gprof_profile_pinned(pinned_tools):
+    gprof = pinned_tools[2]
+    exact = repr((sorted(gprof.self_time.items()), sorted(gprof.calls.items())))
+    assert _sha(gprof.render()) == "b9247c114af069cf912be4a7fb2cd234c4ee5a05cde349274ced41187ef8e124"
+    assert _sha(exact) == "c92b0dc95ba6eecf2006d9224c6f15ec49f33b7c6a89578d1f56dc4d5d5b630f"
