@@ -1308,16 +1308,16 @@ class BaseImpl:
 
 
 class _RelayTask:
-    """Minimal waiter shim for SimEvent.add_waiter: forwards the trigger
-    value to a callback (used by MPI_Waitany's any-of wait)."""
+    """Minimal waiter for SimEvent.add_waiter: forwards the trigger value to
+    a callback (used by MPI_Waitany's any-of wait).  Like a Task it is its
+    own wakeup entry, so it carries the entry slots the kernel fills in."""
 
-    __slots__ = ("_relay",)
+    __slots__ = ("time", "seq", "value", "callback")
+
+    cancelled = False
 
     def __init__(self, relay):
-        self._relay = relay
-
-    def _step(self, value=None):
-        self._relay(value)
+        self.callback = relay
 
 
 def _task_sleep(seconds: float) -> Generator:

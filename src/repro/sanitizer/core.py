@@ -15,6 +15,12 @@ The :class:`Sanitizer` attaches to an :class:`~repro.mpi.world.MpiUniverse`
 * the kernel's **deadlock hooks** -- wait-for-graph analysis while the
   blocked stacks are still frozen.
 
+A call pays only for the bytes it adds to the digest and the handler it
+runs: each hook memoizes, per called function, its digest-line suffix and
+its handler; the line's time stamp is formatted once per instant; and the
+lines are hashed one block at a time.  The digest is sha256 over the same
+``{now!r}|{idx}|{name}|{event}`` lines as when each event was hashed alone.
+
 The engine itself is deliberately permissive about access epochs (windows
 open a fence epoch at creation, matching the real implementations' laziness)
 so the sanitizer keeps its own *strict* MPI-standard epoch state machine:
@@ -25,6 +31,7 @@ LOCK restricted to the locked target, FREED after ``MPI_Win_free``.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Any
 
 from ..mpi.impls.base import COLL_TAG_BASE
@@ -55,6 +62,11 @@ def _kinds_conflict(a: str, b: str) -> bool:
 
 
 _KIND_CHAR = {RmaOpKind.PUT: "P", RmaOpKind.GET: "G", RmaOpKind.ACCUMULATE: "A"}
+
+#: digest bytes buffered before one ``sha256.update`` over them, about two
+#: thousand lines (hashing the concatenation gives the digest per-line
+#: updates give)
+_DIGEST_BLOCK = 1 << 16
 
 
 class _EpCounters:
@@ -143,6 +155,10 @@ class Sanitizer:
         self._wait_rec: dict[int, Any] = {}  # id(frame) -> PostEpochRecord
 
         self._digest = hashlib.sha256()
+        self._pending = bytearray()  # digest lines not hashed yet
+        # the last instant a line was stamped with, and its repr's bytes
+        self._now: Any = None
+        self._now_repr = b""
 
     # -- attachment ----------------------------------------------------------
 
@@ -155,13 +171,15 @@ class Sanitizer:
         return self
 
     def _on_process(self, proc, ep, world) -> None:
-        self._ep_index[id(ep)] = len(self._eps)
+        idx = len(self._eps)
+        self._ep_index[id(ep)] = idx
         self._eps.append(ep)
         self._clocks.append(CowClock(self._clock_genesis))
         self._counters.append(_EpCounters())
         self._requests.append({})
-        proc.entry_hooks.append(lambda p, frame: self._on_trace(ep, frame, "entry"))
-        proc.exit_hooks.append(lambda p, frame: self._on_trace(ep, frame, "exit"))
+        # each hook memoizes, per called function, what its event needs
+        proc.entry_hooks.append(partial(self._on_trace, ep, idx, {}, True))
+        proc.exit_hooks.append(partial(self._on_trace, ep, idx, {}, False))
 
     def _on_comm(self, comm) -> None:
         # Record every communicator; the finalize check filters on the
@@ -397,24 +415,40 @@ class Sanitizer:
 
     # -- call hooks ----------------------------------------------------------
 
-    def _on_trace(self, ep, frame, event: str) -> None:
-        idx = self._ep_index[id(ep)]
-        name = normalize_mpi_name(frame.name)
-        self._digest.update(
-            f"{self.universe.kernel.now!r}|{idx}|{name}|{event}\n".encode()
-        )
-        if not name.startswith("MPI_"):
+    def _on_trace(self, ep, idx: int, memo: dict, entry: bool, proc, frame) -> None:
+        """One call event of rank ``idx``: a digest line, then (for an MPI
+        call) the vector-clock tick at entry and the event's handler.
+
+        ``memo`` is the hook's own dict from the called function to its
+        digest-line suffix, its MPI call name (``None`` outside MPI) and its
+        handler, built at the function's first call.  The line's time stamp
+        is formatted once per instant: again only when the clock's value or
+        type changes (an ``until`` cut can leave an ``int`` clock)."""
+        try:
+            suffix, call, handler = memo[frame.function]
+        except KeyError:
+            fn = frame.function
+            suffix, call, handler = memo[fn] = _memo_entry(idx, fn.name, entry)
+        now = proc.kernel.now
+        if now is not self._now:
+            last = self._now
+            if now != last or now.__class__ is not last.__class__:
+                self._now_repr = repr(now).encode()
+            self._now = now
+        pending = self._pending
+        pending += self._now_repr
+        pending += suffix
+        if len(pending) >= _DIGEST_BLOCK:
+            self._hash_pending()
+        if call is None:
             return
-        call = name[4:]
-        args = frame.args
-        if event == "entry":
-            clock = self._tick(idx)
-            handler = _ENTRY.get(call)
-        else:
-            clock = self._clocks[idx]
-            handler = _EXIT.get(call)
+        clock = self._tick(idx) if entry else self._clocks[idx]
         if handler is not None:
-            handler(self, ep, idx, clock, frame, call, args)
+            handler(self, ep, idx, clock, frame, call, frame.args)
+
+    def _hash_pending(self) -> None:
+        self._digest.update(self._pending)
+        del self._pending[:]
 
     # entry/exit handlers (bound through the _ENTRY/_EXIT tables below)
 
@@ -771,6 +805,7 @@ class Sanitizer:
     # -- results -------------------------------------------------------------
 
     def trace_digest(self) -> str:
+        self._hash_pending()
         return self._digest.hexdigest()
 
     def data_signature(self) -> tuple:
@@ -827,3 +862,16 @@ _EXIT = {
     "Win_unlock": Sanitizer._h_unlock_exit,
     "Win_free": Sanitizer._h_free_exit,
 }
+
+
+def _memo_entry(idx: int, name: str, entry: bool) -> tuple:
+    """What rank ``idx``'s hook for one event needs of function ``name``:
+    its digest-line suffix (the line's format is ``{now!r}|{idx}|{name}|
+    {event}``, PMPI names folded onto MPI ones), its MPI call name and the
+    event's handler (both ``None`` outside MPI)."""
+    name = normalize_mpi_name(name)
+    suffix = f"|{idx}|{name}|{'entry' if entry else 'exit'}\n".encode()
+    if not name.startswith("MPI_"):
+        return suffix, None, None
+    call = name[4:]
+    return suffix, call, (_ENTRY if entry else _EXIT).get(call)

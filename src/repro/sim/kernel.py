@@ -23,6 +23,14 @@ Scheduling internals (the fast path; see DESIGN.md "kernel fast path"):
 
 * Heap entries are plain ``(time, seq, call)`` tuples, so ordering is
   resolved by C-level tuple comparison -- no Python ``__lt__`` runs.
+* A task's wakeup entry is the task itself: its ``Delay`` wakeup, its
+  trigger wakeup and its first step fill in the task's ``time``, ``seq``
+  and ``value`` slots and queue it, where :meth:`Kernel.schedule` would
+  allocate a :class:`_ScheduledCall` around a bound method.  A suspended
+  task waits on exactly one effect, so it has at most one entry pending,
+  and seqs are consumed exactly as ``schedule`` consumes them.
+  ``schedule`` still returns a cancellable ``_ScheduledCall`` for every
+  other callback.
 * Zero-delay calls (event triggers, task spawns -- the majority of all
   scheduling in message-heavy workloads) bypass the heap through a FIFO
   deque.  Global execution order is still exactly (time, seq): a zero-delay
@@ -134,16 +142,28 @@ class SimEvent:
         self._triggered = True
         self._value = value
         waiters, self._waiters = self._waiters, []
+        kernel = self.kernel
         if len(waiters) >= BATCH_MIN_WAITERS:
-            self.kernel._schedule_batch([task._step for task in waiters], value)
+            kernel._schedule_batch([task.callback for task in waiters], value)
             return
-        schedule = self.kernel.schedule
+        # each waiter is its own zero-lane entry (Kernel._wake, inlined)
+        now = kernel.now
+        seq = kernel._seq
+        append = kernel._zero.append
         for task in waiters:
-            schedule(0.0, task._step, value)
+            seq += 1
+            task.time = now
+            task.seq = seq
+            task.value = value
+            append(task)
+        kernel._seq = seq
 
     def add_waiter(self, task: "Task") -> None:
+        """Wait ``task`` on this event: a :class:`Task`, or any object with
+        the same entry slots (``time``, ``seq``, ``value``, ``callback``,
+        ``cancelled``) that has no other wakeup pending."""
         if self._triggered:
-            self.kernel.schedule(0.0, task._step, self._value)
+            self.kernel._wake(task, self._value)
         else:
             self._waiters.append(task)
 
@@ -159,9 +179,17 @@ class Task:
     on :attr:`result` and :attr:`done_event` is triggered with it.  Exceptions
     escaping the generator are re-raised out of :meth:`Kernel.run` wrapped in
     their original type, so test failures point at simulated program bugs.
+
+    A task is its own wakeup entry: ``time``, ``seq``, ``value`` and
+    ``callback`` (its ``_step``, bound once) are the slots the run loop
+    reads off a queue entry.  A suspended task waits on exactly one effect,
+    so it has at most one wakeup pending and one set of slots suffices.
     """
 
-    __slots__ = ("kernel", "name", "_gen", "result", "done_event", "finished", "error")
+    __slots__ = ("kernel", "name", "_gen", "result", "done_event", "finished", "error",
+                 "time", "seq", "value", "callback")
+
+    cancelled = False
 
     def __init__(self, kernel: "Kernel", gen: Generator, name: str = "task") -> None:
         if not hasattr(gen, "send"):
@@ -173,6 +201,7 @@ class Task:
         self.error: Optional[BaseException] = None
         self.finished = False
         self.done_event = SimEvent(kernel, name=f"{name}.done")
+        self.callback = self._step
 
     def _step(self, value: Any = None) -> None:
         try:
@@ -183,12 +212,26 @@ class Task:
         except BaseException as exc:  # propagate simulated-program bugs
             self.error = exc
             self.finished = True
+            self.callback = None
             self.kernel._live_tasks -= 1
             self.kernel._failed_task = self
             raise
         cls = effect.__class__
         if cls is Delay:
-            self.kernel.schedule(effect.dt, self._step, None)
+            # Kernel.schedule(dt, self._step, None), with the task itself
+            # as the entry: the same seq, the same time, the same lane
+            kernel = self.kernel
+            dt = effect.dt
+            seq = kernel._seq + 1
+            kernel._seq = seq
+            self.seq = seq
+            self.value = None
+            if dt == 0.0:
+                self.time = kernel.now
+                kernel._zero.append(self)
+            else:
+                t = self.time = kernel.now + dt
+                heapq.heappush(kernel._queue, (t, seq, self))
         elif cls is WaitEvent:
             effect.event.add_waiter(self)
         else:
@@ -200,6 +243,9 @@ class Task:
     def _finish(self, value: Any) -> None:
         self.result = value
         self.finished = True
+        # a finished task is never queued again: dropping its bound _step
+        # breaks the self-reference, so reference counting frees it
+        self.callback = None
         self.kernel._live_tasks -= 1
         self.done_event.trigger(value)
 
@@ -287,10 +333,11 @@ class Kernel:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        #: timed lane: a heap of (time, seq, _ScheduledCall) tuples
-        self._queue: list[tuple[float, int, _ScheduledCall]] = []
-        #: zero-delay lane: FIFO of _ScheduledCalls with time == now
-        self._zero: deque[_ScheduledCall] = deque()
+        #: timed lane: a heap of (time, seq, entry) tuples, where an entry
+        #: is a _ScheduledCall or a waking Task
+        self._queue: list[tuple[float, int, Any]] = []
+        #: zero-delay lane: FIFO of entries (and cohorts) with time == now
+        self._zero: deque[Any] = deque()
         self._seq = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
         self._live_tasks = 0
@@ -381,8 +428,19 @@ class Kernel:
         """Create a task and schedule its first step at the current time."""
         task = Task(self, gen, name=name)
         self._live_tasks += 1
-        self.schedule(0.0, task._step, None)
+        self._wake(task, None)
         return task
+
+    def _wake(self, task: Task, value: Any) -> None:
+        """Queue ``task`` itself as a zero-delay entry run as
+        ``task.callback(value)``: ``schedule(0.0, task.callback, value)``
+        without the :class:`_ScheduledCall` (the same seq, the same lane)."""
+        seq = self._seq + 1
+        self._seq = seq
+        task.time = self.now
+        task.seq = seq
+        task.value = value
+        self._zero.append(task)
 
     # -- running ------------------------------------------------------------
 

@@ -296,26 +296,34 @@ class SimProcess:
             if cost > 0.0:
                 yield from self._burn(cost, _USER)
         result: Any = None
+        closed = False
         try:
             result = yield from fn.body(self, *args)
+        except GeneratorExit:
+            closed = True
+            raise
         finally:
             # Exit snippets and hooks run even if the body raises, so
-            # timers never dangle when simulated programs abort.  The exit
+            # timers never dangle when simulated programs abort -- but not
+            # when the garbage collector closes a call that never returned
+            # (its task stranded by a deadlock or an ``until`` cut): that
+            # call has no exit, and its run may be long over.  The exit
             # point is read now, so snippets inserted mid-call run.
-            frame.return_value = result
-            runs = fn.exit_runs
-            if runs is not None:
-                sc = self.snippet_cost
-                cost = 0.0
-                for run in runs:
-                    run(self, frame, False)
-                    cost += sc
-                self.snippets_executed += len(runs)
-                if cost > 0.0:
-                    yield from self._burn(cost, _USER)
-            for hook in self.exit_hooks:
-                hook(self, frame)
-            stack.pop()
+            if not closed:
+                frame.return_value = result
+                runs = fn.exit_runs
+                if runs is not None:
+                    sc = self.snippet_cost
+                    cost = 0.0
+                    for run in runs:
+                        run(self, frame, False)
+                        cost += sc
+                    self.snippets_executed += len(runs)
+                    if cost > 0.0:
+                        yield from self._burn(cost, _USER)
+                for hook in self.exit_hooks:
+                    hook(self, frame)
+                stack.pop()
         return result
 
     def call_path(self) -> list[str]:
@@ -324,16 +332,23 @@ class SimProcess:
     # -- lifecycle -------------------------------------------------------------
 
     def run_main(self, body: Generator) -> Generator:
-        """Wrap a program's top-level generator with exit bookkeeping."""
+        """Wrap a program's top-level generator with exit bookkeeping, which
+        runs when the body returns or raises -- not when the garbage
+        collector closes a program that never finished."""
+        closed = False
         try:
             result = yield from body
+        except GeneratorExit:
+            closed = True
+            raise
         finally:
-            self._set_state(ProcState.EXITED)
-            self.exited = True
-            self.exit_time = self.kernel.now
-            for hook in list(self.atexit_hooks):
-                hook(self)
-            self.exit_event.trigger(self)
+            if not closed:
+                self._set_state(ProcState.EXITED)
+                self.exited = True
+                self.exit_time = self.kernel.now
+                for hook in list(self.atexit_hooks):
+                    hook(self)
+                self.exit_event.trigger(self)
         return result
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import pathlib
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpi.impls.base import _RelayTask
 from repro.observe.recorder import recording
 from repro.sim.kernel import Delay, Kernel, SimulationError, WaitEvent
 from repro.sim.reference import ReferenceKernel
@@ -51,7 +53,17 @@ OP = st.one_of(
                                                   allow_nan=False, allow_infinity=False)),
     st.tuples(st.just("spawn_runner"), st.floats(min_value=0.0, max_value=2.0,
                                                  allow_nan=False, allow_infinity=False)),
+    st.tuples(st.just("relay"), st.integers(min_value=0, max_value=63)),
+    st.tuples(st.just("spawn_zero"), st.integers(min_value=1, max_value=3)),
 )
+
+
+def _relay(kernel, callback):
+    """A waiter that is not a task: MPI_Waitany's relay on the fast kernel,
+    a bare ``_step`` holder (the reference's waiter protocol) on the oracle."""
+    if isinstance(kernel, Kernel):
+        return _RelayTask(callback)
+    return SimpleNamespace(_step=callback)
 
 
 def _execute(kernel, ops):
@@ -89,6 +101,9 @@ def _execute(kernel, ops):
                 yield Delay(dt)
             log.append((tag, kernel.now))
 
+    def relay_to(tag, event):
+        event.add_waiter(_relay(kernel, lambda value: log.append((tag, kernel.now, value))))
+
     next_tag = 0
     for op in ops:
         kind, arg = op
@@ -123,8 +138,10 @@ def _execute(kernel, ops):
             # divisible by 3 Delay after waking, and runners try to run
             # ahead, so members leave the cohort mid-flight too.
             ev = kernel.event(f"mass{next_tag}")
-            for _ in range(arg):
+            for i in range(arg):
                 next_tag += 1
+                if i == arg // 2:  # a relay among the cohort's members
+                    relay_to(next_tag, ev)
                 if kind == "mass_wait":
                     kernel.spawn(waiter(next_tag, ev), name=f"mw{next_tag}")
                 else:
@@ -138,6 +155,16 @@ def _execute(kernel, ops):
             kernel.spawn(sleeper(), name=f"s{next_tag}")
         elif kind == "spawn_runner":
             kernel.spawn(runner(next_tag, arg), name=f"r{next_tag}")
+        elif kind == "relay":
+            # on a triggered event the relay is queued at once
+            if events:
+                relay_to(next_tag, events[arg % len(events)])
+        elif kind == "spawn_zero":
+            def yielder(tag=next_tag, n=arg):
+                for _ in range(n):
+                    yield Delay(0.0)
+                    log.append((tag, kernel.now))
+            kernel.spawn(yielder(), name=f"z{next_tag}")
     # trigger any leftover events so waiters cannot deadlock
     for ev in events:
         if not ev.triggered:
@@ -208,6 +235,57 @@ def test_zero_delay_storm_matches_reference():
     ref_log, ref_now = _execute(ReferenceKernel(), ops)
     assert fast_log == ref_log
     assert fast_now == ref_now
+
+
+# -- a task is its own wakeup entry ------------------------------------------
+#
+# A suspended task waits on exactly one effect, so the kernel queues the task
+# itself (its time, seq and value slots filled in) instead of a
+# _ScheduledCall around a bound method; seqs are consumed as schedule()
+# consumes them.
+
+
+def test_task_wakeups_queue_the_task_itself():
+    kernel = Kernel()
+    ev = kernel.event("ev")
+    seen = []
+
+    def body():
+        seen.append((yield Delay(0.0)))
+        yield Delay(1.5)
+        seen.append((yield WaitEvent(ev)))
+        seen.append((yield WaitEvent(ev)))  # already triggered
+
+    def peek():
+        seen.append((list(kernel._zero), task.time, task.seq))
+
+    def fire():
+        ev.trigger("v")  # the trigger's wakeup is the task, with the value
+        seen.append((list(kernel._zero), task.time, task.seq, task.value))
+
+    task = kernel.spawn(body(), name="t")
+    assert list(kernel._zero) == [task] and (task.seq, task.value) == (1, None)
+    kernel.schedule(0.0, peek)  # seq 2: runs after the task's first step
+    kernel.schedule(2.0, fire)  # seq 3
+    kernel.run(until=1.0)
+    # the Delay(0.0) wakeup is the task, in the zero lane, at seq 4
+    assert seen == [([task], 0.0, 4), None]
+    assert len(kernel._queue) == 2 and kernel._queue[0] == (1.5, 5, task)
+    kernel.run()
+    assert seen[2:] == [([task], 2.0, 6, "v"), "v", "v"]
+    assert kernel._seq == 7 and task.finished
+
+
+def test_relay_waiter_is_its_own_entry_too():
+    kernel = Kernel()
+    ev = kernel.event("ev")
+    got = []
+    relay = _RelayTask(got.append)
+    ev.add_waiter(relay)
+    ev.trigger(7)
+    assert list(kernel._zero) == [relay] and relay.value == 7
+    kernel.run()
+    assert got == [7]
 
 
 # -- run-ahead -----------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.cli import main
@@ -16,7 +18,14 @@ from repro.sanitizer import (
     vc_join,
     vc_leq,
 )
+from repro.analysis.runner import cluster_for
+from repro.mpi import MpiUniverse
+from repro.pperfmark.catalog import resolve_program
+from repro.sanitizer.core import Sanitizer
 from repro.sanitizer.deadlock import _find_cycle
+from repro.sim.kernel import DeadlockError
+
+from conftest import ScriptProgram
 
 
 # ---------------------------------------------------------------- defects
@@ -189,6 +198,116 @@ def test_find_cycle_ignores_acyclic_tail():
     cycle = _find_cycle({0: [1], 1: [2], 2: [1], 3: [0]})
     assert cycle is not None
     assert set(cycle) == {1, 2}
+
+
+# ------------------------------------------------------------- trace digest
+#
+# The hook memoizes per function, formats the time stamp once per instant
+# and hashes lines in blocks; the digest must still be sha256 over the
+# text the plain per-event format gives.  A reference hook registered after
+# attach() runs right after the sanitizer's own, formats each event that
+# way and hashes the whole text once.
+
+
+def _reference_trace(universe) -> list:
+    """Register, after the sanitizer, hooks that record every event as
+    ``{now!r}|{idx}|{name}|{event}``; returns the text's growing list."""
+    text = []
+    kernel = universe.kernel
+    ranks = []
+
+    def on_process(proc, ep, world):
+        idx = len(ranks)
+        ranks.append(ep)
+
+        def hook(event):
+            def record(p, frame):
+                name = normalize_mpi_name(frame.name)
+                text.append(f"{kernel.now!r}|{idx}|{name}|{event}\n")
+            return record
+
+        proc.entry_hooks.append(hook("entry"))
+        proc.exit_hooks.append(hook("exit"))
+
+    universe.process_hooks.append(on_process)
+    return text
+
+
+def _reference_digest(text) -> str:
+    return hashlib.sha256("".join(text).encode()).hexdigest()
+
+
+def _sanitized(name, impl):
+    program = resolve_program(name, quick=True)
+    nprocs = getattr(program, "default_nprocs", 4)
+    universe = MpiUniverse(impl=impl, cluster=cluster_for(nprocs, 2), seed=0)
+    san = Sanitizer(universe).attach()
+    text = _reference_trace(universe)
+    universe.launch(program, nprocs)
+    return universe, san, text
+
+
+@pytest.mark.parametrize("name,impl", [
+    ("small_messages", "lam"),
+    ("small_messages", "mpich"),  # PMPI names fold onto MPI ones
+    ("winfencesync", "lam"),
+    ("spawncount", "refmpi"),  # spawned ranks hook in mid-run
+])
+def test_trace_digest_is_sha256_of_the_per_event_text(name, impl):
+    universe, san, text = _sanitized(name, impl)
+    universe.run()
+    assert text
+    assert san.trace_digest() == _reference_digest(text)
+
+
+def test_trace_digest_of_a_deadlocked_run():
+    universe, san, text = _sanitized("defect_deadlock_recv", "lam")
+    with pytest.raises(DeadlockError):
+        universe.run()
+    assert text
+    assert san.trace_digest() == _reference_digest(text)
+
+
+def test_trace_digest_across_an_integer_until_cut():
+    universe, san, text = _sanitized("random_barrier", "lam")  # ends at 1.95 s
+    universe.run(until=1)
+    assert type(universe.kernel.now) is int
+    cut = len(text)
+    assert cut
+    # read mid-run: the buffered lines are hashed, the hash stays open
+    assert san.trace_digest() == _reference_digest(text)
+    universe.run()
+    assert len(text) > cut
+    assert san.trace_digest() == _reference_digest(text)
+
+
+def test_time_stamp_follows_the_clocks_type_at_one_instant():
+    """An int clock and a float clock at the same value stamp differently
+    (``repr(5) != repr(5.0)``), so the per-instant repr is taken again."""
+    universe = MpiUniverse(impl="lam", cluster=cluster_for(2, 2), seed=0)
+    san = Sanitizer(universe).attach()
+    text = _reference_trace(universe)
+    world = universe.launch(ScriptProgram(_work_script, functions={"work": _work}), 2)
+    kernel = universe.kernel
+    universe.run()
+    proc = world.endpoints[0].proc
+    for now in (5.0, 5, 5, 5.0, 6.0):
+        kernel.now = now
+        kernel.spawn(proc.call("work", 0.0))
+        kernel.run()
+    stamps = [line.split("|", 1)[0] for line in text[-10:]]
+    assert stamps == ["5.0", "5.0", "5", "5", "5", "5", "5.0", "5.0", "6.0", "6.0"]
+    assert san.trace_digest() == _reference_digest(text)
+
+
+def _work(mpi, proc, seconds):
+    return proc.compute(seconds)
+
+
+def _work_script(mpi):
+    yield from mpi.init()
+    yield from mpi.proc.call("work", 0.001)
+    yield from mpi.finalize()
 
 
 # -------------------------------------------------------------------- names

@@ -1,12 +1,19 @@
 """Tests for simulated processes: CPU clocks, calls, hooks."""
 
+import gc
+import sys
+
 import pytest
 
+from repro.core import Paradyn
 from repro.dyninst.image import Image
 from repro.dyninst.snippets import AddCounter, Const, CounterVar, Snippet
-from repro.sim.kernel import Kernel
+from repro.sanitizer.core import Sanitizer
+from repro.sim.kernel import DeadlockError, Kernel
 from repro.sim.node import Cluster
 from repro.sim.process import Frame, ProcState, SimProcess
+
+from conftest import ScriptProgram, make_universe
 
 
 def make_proc(kernel=None, image=None):
@@ -304,3 +311,55 @@ def test_compute_and_syscall_exact_with_and_without_run_ahead():
     # bit-identical, not approximately equal
     assert free == blocked == oracle
     assert free == pytest.approx((0.8, 0.5, 1.3))
+
+
+# -- calls the garbage collector closes -----------------------------------------
+#
+# Two ranks that each recv from the other never return from MPI_Recv.  Once
+# the run is over and the universe is dropped, the garbage collector closes
+# the stranded generators; such a call has no exit, so no exit work runs.
+
+
+def _mutual_recv(mpi):
+    yield from mpi.init()
+    yield from mpi.recv(1 - mpi.rank)
+    yield from mpi.finalize()
+
+
+def test_gc_closing_a_stranded_call_under_paradyn_raises_nothing(monkeypatch):
+    def run_cut():
+        universe = make_universe("lam")
+        tool = Paradyn(universe)
+        tool.enable("sync_wait")
+        universe.launch(ScriptProgram(_mutual_recv), 2)
+        universe.run(until=5.0)
+
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    run_cut()
+    gc.collect()
+    # an exit charge yielded inside the close would raise "generator
+    # ignored GeneratorExit" once per stranded rank
+    assert [repr(u.exc_value) for u in unraisable] == []
+
+
+def test_gc_closing_a_stranded_call_fires_no_exit_hook():
+    exits = []
+
+    def run_deadlocked():
+        universe = make_universe("lam")
+        Sanitizer(universe).attach()
+        universe.process_hooks.append(
+            lambda proc, ep, world: proc.exit_hooks.append(
+                lambda p, frame: exits.append(frame.name)))
+        universe.launch(ScriptProgram(_mutual_recv), 2)
+        with pytest.raises(DeadlockError):
+            universe.run()
+
+    gc.collect()
+    run_deadlocked()
+    during_run = len(exits)
+    assert during_run > 0
+    gc.collect()
+    assert len(exits) == during_run
