@@ -24,15 +24,17 @@ Outputs:
 * ``python benchmarks/bench_kernel_throughput.py --check <baseline>`` --
   the CI perf-smoke gate: compares calibration-normalized events/sec
   against the checked-in baseline and fails on >30% regression.
-  Normalizing by the reference kernel's timer-churn throughput (measured
-  in the same run) divides out machine speed, so one baseline works on any
-  host.
+  Normalizing by the reference kernel's timer-churn throughput divides out
+  machine speed, so one baseline works on any host; it is sampled right
+  before each scenario's fast-kernel run (:func:`calibrate`), so host load
+  that shifts during the run moves a scenario and its yardstick together.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -324,6 +326,19 @@ SCENARIOS = {
 CALIBRATION_SCENARIO = "timer_churn"
 
 
+def calibrate(**sizes) -> int:
+    """One host-speed sample: the reference kernel's events/sec on
+    ``timer_churn``.  Both perf-smoke gates take one right before each
+    measurement they normalize, since host load can shift between a
+    calibration taken once and a later scenario."""
+    from repro.sim.reference import ReferenceKernel
+
+    t0 = time.perf_counter()
+    events, _, _ = timer_churn(ReferenceKernel, **sizes)
+    wall = time.perf_counter() - t0
+    return round(events / wall) if wall > 0 else 0
+
+
 # -- harness -----------------------------------------------------------------
 
 
@@ -341,13 +356,15 @@ def run_scenarios(sizes: dict | None = None) -> dict:
 
 def _run_scenarios_untraced(sizes: dict | None = None) -> dict:
     kernels = _kernels()
+    sizes = sizes or {}
     summary: dict = {"schema": 1, "scenarios": {}}
     for name, fn in SCENARIOS.items():
         entry: dict = {}
         for side, factory in kernels.items():
-            kwargs = {}
-            if sizes and name in sizes:
-                kwargs = sizes[name]
+            kwargs = sizes.get(name, {})
+            if side == "after":
+                entry["calibration_events_per_sec"] = calibrate(
+                    **sizes.get(CALIBRATION_SCENARIO, {}))
             t0 = time.perf_counter()
             events, vtime, checksum = fn(factory, **kwargs)
             wall = time.perf_counter() - t0
@@ -369,13 +386,14 @@ def _run_scenarios_untraced(sizes: dict | None = None) -> dict:
         entry["speedup"] = (
             round(entry["after"]["events_per_sec"] / before_eps, 3) if before_eps else None
         )
-        summary["scenarios"][name] = entry
-    calibration = summary["scenarios"][CALIBRATION_SCENARIO]["before"]["events_per_sec"]
-    summary["calibration_events_per_sec"] = calibration
-    for entry in summary["scenarios"].values():
+        calibration = entry["calibration_events_per_sec"]
         entry["normalized"] = (
             round(entry["after"]["events_per_sec"] / calibration, 4) if calibration else None
         )
+        summary["scenarios"][name] = entry
+    summary["calibration_events_per_sec"] = round(statistics.median(
+        entry["calibration_events_per_sec"] for entry in summary["scenarios"].values()
+    ))
     return summary
 
 
@@ -396,8 +414,9 @@ def render(summary: dict) -> str:
         )
     lines.append("")
     lines.append(
-        f"calibration (reference {CALIBRATION_SCENARIO}): "
-        f"{summary['calibration_events_per_sec']} events/sec; deterministic "
+        f"calibration (reference {CALIBRATION_SCENARIO}, median of one sample "
+        f"before each scenario): {summary['calibration_events_per_sec']} "
+        "events/sec; deterministic "
         "observables (events, virtual time, checksum) verified identical "
         "across both kernels"
     )

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -334,20 +335,6 @@ def run_cell(shape: str, ranks: int) -> dict:
     }
 
 
-def _calibrate() -> int:
-    """The host-speed yardstick: the reference kernel's timer-churn
-    events/sec, shared with bench_kernel_throughput so both gates divide
-    out machine speed the same way."""
-    from bench_kernel_throughput import timer_churn
-
-    from repro.sim.reference import ReferenceKernel
-
-    t0 = time.perf_counter()
-    events, _, _ = timer_churn(lambda: ReferenceKernel())
-    wall = time.perf_counter() - t0
-    return round(events / wall) if wall > 0 else 0
-
-
 def run_sweep(rank_counts=DEFAULT_RANKS) -> dict:
     from repro.observe.recorder import suspended
 
@@ -356,7 +343,10 @@ def run_sweep(rank_counts=DEFAULT_RANKS) -> dict:
 
 
 def _run_sweep_untraced(rank_counts) -> dict:
-    calibration = _calibrate()
+    # each cell is normalized by a host-speed sample taken right before it,
+    # the same yardstick bench_kernel_throughput uses
+    from bench_kernel_throughput import calibrate
+
     # the tool shape keeps its own (shorter) axis; a --ranks override
     # still reaches it via the smallest requested count
     tool_ranks = tuple(r for r in rank_counts if r in TOOL_RANKS) or (
@@ -368,17 +358,22 @@ def _run_sweep_untraced(rank_counts) -> dict:
         "seed": SEED,
         "ranks": list(rank_counts),
         "tool_ranks": list(tool_ranks),
-        "calibration_events_per_sec": calibration,
         "shapes": {},
     }
     axes = {shape: rank_counts for shape in _programs()}
     axes["tool"] = tool_ranks
+    samples = []
     for shape, axis in axes.items():
-        cells = [run_cell(shape, ranks) for ranks in axis]
-        for cell in cells:
+        cells = []
+        for ranks in axis:
+            calibration = calibrate()
+            cell = run_cell(shape, ranks)
+            cell["calibration_events_per_sec"] = calibration
             cell["normalized"] = (
                 round(cell["events_per_sec"] / calibration, 4) if calibration else None
             )
+            samples.append(calibration)
+            cells.append(cell)
         base = cells[0]
         entry = {"cells": cells}
         top = cells[-1]
@@ -387,6 +382,7 @@ def _run_sweep_untraced(rank_counts) -> dict:
         )
         entry["rank_ratio"] = round(top["ranks"] / base["ranks"], 3)
         summary["shapes"][shape] = entry
+    summary["calibration_events_per_sec"] = round(statistics.median(samples))
     return summary
 
 

@@ -106,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     t3.add_argument("--impl", default="lam")
 
     from .fleet.cli import add_fleet_parser
-    from .observe.cli import add_observe_parser  # mode-salt: none
+    from .observe.cli import add_observe_parser
 
     add_fleet_parser(sub)
     add_observe_parser(sub)
@@ -176,8 +176,8 @@ def _cmd_mpirun(args: argparse.Namespace) -> int:
 def _cmd_sanitize(args: argparse.Namespace) -> int:
     from .analysis.report import render_sanitizer_report, render_sanitizer_summary
     from .fleet import FleetScheduler, RunSpec, default_cache, report_from_artifact
+    from .pperfmark.catalog import CLEAN_PROGRAMS
     from .pperfmark.defects import DEFECT_REGISTRY
-    from .sanitizer import CLEAN_PROGRAMS
 
     if args.program == "all":
         names = list(CLEAN_PROGRAMS)
@@ -250,7 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
         return cmd_fleet(args)
     if args.command == "observe":
-        from .observe.cli import cmd_observe  # mode-salt: none
+        from .observe.cli import cmd_observe
 
         return cmd_observe(args)
     if args.command == "table1":

@@ -28,7 +28,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from ..observe.recorder import active as _observe_active  # mode-salt: none
+from ..observe.recorder import active as _observe_active
 from .frontend import Frontend, MetricFocusData
 from .mdl import MdlCompileError
 from .resources import Focus
@@ -200,19 +200,17 @@ class PerformanceConsultant:
         self._running = True
         for proc in self.frontend.all_procs():
             proc.entry_hooks.append(self.observe_call)
-        self.kernel.schedule(self.experiment_window / 2.0, self._tick)
+        self.frontend.schedule_tick(self.kernel, self.experiment_window / 2.0, self._tick)
 
     def _tick(self) -> None:
         now = self.kernel.now
         self._evaluate_finished(now)
         self._launch_pending(now)
-        procs = self.frontend.all_procs()
-        alive = any(not proc.exited for proc in procs)
-        if alive or self._testing:
-            if alive:
-                self.kernel.schedule(self.experiment_window / 2.0, self._tick)
-            else:
-                self._finalize(now)
+        alive = any(not proc.exited for proc in self.frontend.all_procs())
+        # the program is over once every process has exited, or once only
+        # tool ticks are queued (a deadlock; see Frontend.only_ticks_left)
+        if alive and not self.frontend.only_ticks_left(self.kernel):
+            self.frontend.schedule_tick(self.kernel, self.experiment_window / 2.0, self._tick)
         else:
             self._finalize(now)
 

@@ -11,7 +11,9 @@ on that node (Section 4 of the paper).  Its jobs here:
   name-change hooks for MPI-2 object naming (Section 4.2.3);
 * **instrument**: instantiate metric-focus pairs through the MDL compiler;
 * **sample**: read every active counter/timer each sample interval and
-  forward deltas to the front end's histograms.
+  forward deltas to the front end's histograms.  Sampling stops once every
+  process has exited, or once only tool ticks are queued while ranks are
+  blocked, so the kernel still reports a deadlock.
 
 The per-snippet perturbation cost models the intrusion dynamic
 instrumentation adds to the mutatee.
@@ -227,7 +229,7 @@ class Daemon:
     def _ensure_sampling(self) -> None:
         if not self._sampling:
             self._sampling = True
-            self.kernel.schedule(self.sample_interval, self._sample_tick)
+            self.frontend.schedule_tick(self.kernel, self.sample_interval, self._sample_tick)
 
     def _current_interval(self) -> float:
         """Sampling interval, coupled to histogram folding as in Paradyn:
@@ -245,10 +247,11 @@ class Daemon:
         # a delta sampled at t covers (t - interval, t]; record it at the
         # midpoint so histogram bins line up with when the work happened
         self.sample_now(now, record_at=now - interval / 2.0)
-        if self._live:
-            self.kernel.schedule(self._current_interval(), self._sample_tick)
-        else:
-            self._sampling = False
+        # sampling stops once every process has exited, or once only tool
+        # ticks are queued (a deadlock; see Frontend.only_ticks_left)
+        self._sampling = bool(self._live) and not self.frontend.only_ticks_left(self.kernel)
+        if self._sampling:
+            self.frontend.schedule_tick(self.kernel, self._current_interval(), self._sample_tick)
 
     def sample_now(self, now: float, record_at: float = None) -> None:
         """Read all active instrumentation on this daemon's processes.

@@ -189,11 +189,31 @@ class Frontend:
         self._window_uids: dict[int, str] = {}  # id(win) -> "N-M"
         #: Paradyn-style observed instrumentation cost (see core.costmodel)
         self.cost_tracker = CostTracker(DEFAULT_COST_LIMIT)
+        #: tool ticks (daemon samples, Consultant passes) in the kernel queue
+        self._queued_ticks = 0
 
     # -- daemons ---------------------------------------------------------------
 
     def add_daemon(self, daemon: "Daemon") -> None:
         self.daemons.append(daemon)
+
+    def schedule_tick(self, kernel: Any, delay: float, tick: Callable[[], None]) -> None:
+        """Queue one periodic tool tick (a daemon's sample, a Consultant pass)."""
+        self._queued_ticks += 1
+        kernel.schedule(delay, self._run_tick, tick)
+
+    def _run_tick(self, tick: Callable[[], None]) -> None:
+        self._queued_ticks -= 1
+        tick()
+
+    def only_ticks_left(self, kernel: Any) -> bool:
+        """Asked by a running tick before it queues the next one: are tasks
+        live while every queued kernel entry is another tick?  Then nothing
+        queued can wake them, so the ticks stop, the queue drains and
+        ``run()`` raises ``DeadlockError`` as it does without the tool.
+        Only a tick may ask: elsewhere the running entry can be a live task
+        that is not queued (a rank whose spawn attaches a new daemon)."""
+        return kernel.live_tasks() > 0 and kernel.queue_depth() == self._queued_ticks
 
     def all_procs(self) -> list[Any]:
         return [proc for daemon in self.daemons for proc in daemon.procs]

@@ -22,9 +22,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional
 
-from ..observe.cli import DEFAULT_TRACE_DIR  # mode-salt: none
-from ..observe.critical_path import render_critical_path  # mode-salt: none
-from ..observe.export import read_jsonl  # mode-salt: none
+from ..observe.cli import DEFAULT_TRACE_DIR
+from ..observe.critical_path import render_critical_path
+from ..observe.export import read_jsonl
 from .cache import ResultCache
 from .execute import default_cache, open_store
 from .scheduler import FleetScheduler

@@ -24,7 +24,7 @@ import json
 from pathlib import Path
 from typing import Any, Optional, Union
 
-from ..observe.recorder import active as _observe_active  # mode-salt: none
+from ..observe.recorder import active as _observe_active
 from .cache import ArtifactStore, ResultCache, default_cache_root
 from .spec import RunSpec, canonical_json
 
@@ -168,7 +168,7 @@ def _execute_tool(spec: RunSpec) -> dict:
 
 
 def _execute_sanitize(spec: RunSpec) -> dict:
-    from ..sanitizer.run import sanitize_program  # mode-salt: sanitize
+    from ..sanitizer.run import sanitize_program
 
     program = _build_program(spec)
     report = sanitize_program(
@@ -251,7 +251,7 @@ def artifact_found(artifact: dict, hypothesis: str, *needles: str) -> bool:
 
 def report_from_artifact(artifact: dict):
     """Reconstruct a :class:`SanitizerReport` from a sanitize artifact."""
-    from ..sanitizer.findings import Finding, FindingKind, SanitizerReport  # mode-salt: sanitize
+    from ..sanitizer.findings import Finding, FindingKind, SanitizerReport
 
     if artifact.get("status") != "ok":
         error = artifact.get("error") or {}

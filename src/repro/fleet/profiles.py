@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..observe.export import read_jsonl  # mode-salt: none
+from ..observe.export import read_jsonl
 
 __all__ = ["learned_walls"]
 

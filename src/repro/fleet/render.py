@@ -11,7 +11,7 @@ experiment runs:
 * the spec's **render key** (its digest) covers everything the report's
   bytes can depend on: the bench module source, ``common.py``, the digests
   of the fleet artifacts the bench consumes (recorded during collect
-  mode), and the per-subsystem ``mode="render"`` source salt;
+  mode), and the source-tree salt (:func:`~repro.fleet.spec.code_version`);
 * an unchanged key is a cache hit -- the bench is *skipped* and its
   reports are restored byte-identically from the cached artifact;
 * stale benches execute as parallel scheduler jobs, each wrapped in a
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
-from ..observe.recorder import active as _observe_active  # mode-salt: none
+from ..observe.recorder import active as _observe_active
 from .spec import RunSpec
 
 __all__ = [
@@ -195,7 +195,7 @@ def _render_spec(
     module: str, test: str, sources: dict, consumes: tuple
 ) -> RunSpec:
     """The render key, as a spec: digest = sha256 over bench + common source
-    hashes, consumed warm-artifact digests, and the render mode salt."""
+    hashes, consumed warm-artifact digests, and the source-tree salt."""
     return RunSpec.make(
         f"{module}::{test}",
         mode="render",

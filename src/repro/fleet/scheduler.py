@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional
 
-from ..observe.export import read_jsonl  # mode-salt: none
-from ..observe.recorder import active as _observe_active  # mode-salt: none
-from ..observe.recorder import enable as _observe_enable  # mode-salt: none
+from ..observe.export import read_jsonl
+from ..observe.recorder import active as _observe_active
+from ..observe.recorder import enable as _observe_enable
 from .cache import ArtifactStore
 from .events import EventLog
 from .execute import execute_spec, failure_artifact, from_bytes, to_bytes

@@ -5,12 +5,12 @@ description of one deterministic simulation run (program, implementation
 personality, process count, metrics, sanitize flag, RNG seed, scaled-down
 "quick" parameters).  Two specs with equal fields describe byte-identical
 artifacts, so the canonical digest of a spec -- salted with
-:func:`mode_code_version`, a hash over the source of the subsystems the
-spec's mode actually executes (:data:`MODE_SUBSYSTEMS`) -- is the key into
-the content-addressed result cache.  Editing a file invalidates exactly the
-cached artifacts whose mode can reach it: a sanitizer edit re-runs sanitize
-jobs but cached tool artifacts stay valid, and nothing else invalidates
-anything.
+:func:`code_version`, a hash over every source file under ``src/repro`` --
+is the key into the content-addressed result cache.  Any source edit
+invalidates every cached artifact: the salt is the same whole-tree hash the
+remote coordinator compares in its worker handshake, so no edit can leave a
+stale artifact live, at the price of re-running every job after an edit
+that could not have changed some of them.
 
 Constructor keyword dictionaries (program parameters, extra ``run_program``
 options) are *frozen* into sorted tuples so specs stay hashable, and thawed
@@ -23,18 +23,15 @@ import functools
 import hashlib
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping, Optional
 
 __all__ = [
     "RunSpec",
     "MODES",
-    "MODE_SUBSYSTEMS",
     "canonical_json",
     "code_version",
-    "mode_code_version",
-    "subsystem_hashes",
     "freeze",
     "thaw",
 ]
@@ -80,18 +77,7 @@ def canonical_json(obj: Any) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def code_version() -> str:
-    """Hash of every ``.py`` file under ``src/repro`` -- the whole-tree salt.
-
-    ``REPRO_CODE_VERSION`` overrides it (tests pin it to get stable digests;
-    CI could pin it to the commit SHA to skip the tree walk).  Spec digests
-    use the finer-grained :func:`mode_code_version` so edits outside a
-    mode's import closure don't invalidate its cached artifacts; this
-    whole-tree hash remains the conservative fallback for unknown modes.
-    """
-    override = os.environ.get("REPRO_CODE_VERSION")
-    if override:
-        return override
+def _tree_hash() -> str:
     root = Path(__file__).resolve().parents[1]  # .../src/repro
     digest = hashlib.sha256()
     for path in sorted(root.rglob("*.py")):
@@ -102,92 +88,15 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-#: Subsystems (top-level packages under ``src/repro``; ``""`` is the loose
-#: top-level modules) whose source feeds each execution mode's cache salt.
-#: Each set must cover the mode's *import closure* --
-#: ``tests/test_fleet_salts.py`` recomputes the closure from the AST and
-#: fails if an edge grows outside its salt set, so a stale-cache bug cannot
-#: slip in silently.  The payoff is the complement: a sanitizer-only edit
-#: re-runs sanitize jobs but leaves every cached tool artifact valid (and
-#: tracetools, used only by the comparator figures, invalidates nothing).
-#: ``observe`` (the flight-recorder/tracing subsystem) is likewise in no
-#: salt set: its output reaches only never-cached failure artifacts and
-#: side files, never cached bytes, and every import of it is tagged
-#: ``# mode-salt: none`` so the closure test skips those edges for every
-#: mode.
-MODE_SUBSYSTEMS: dict[str, tuple[str, ...]] = {
-    "tool": (
-        "", "fleet", "analysis", "core", "pperfmark",
-        "mpi", "launch", "sim", "dyninst",
-    ),
-    "sanitize": (
-        "", "fleet", "sanitizer", "analysis", "core", "pperfmark",
-        "mpi", "launch", "sim", "dyninst",
-    ),
-    # render executes the bench modules themselves, which reach everything
-    # tool mode does *plus* the comparator figures' tracetools (gprof, MPE/
-    # CLOG, Jumpshot) -- the one mode whose cached bytes a tracetools edit
-    # must invalidate.  The bench/common sources and consumed-artifact
-    # digests are hashed into the spec params, not this salt.
-    "render": (
-        "", "fleet", "analysis", "core", "pperfmark",
-        "mpi", "launch", "sim", "dyninst", "tracetools",
-    ),
-    # chaos jobs raise before touching any simulation code, but the fleet
-    # package itself (sweep rendering) imports broadly, and the soundness
-    # test works at subsystem granularity -- so chaos shares tool's salt
-    # rather than growing a pragma per fleet-internal import
-    "chaos": (
-        "", "fleet", "analysis", "core", "pperfmark",
-        "mpi", "launch", "sim", "dyninst",
-    ),
-}
+def code_version() -> str:
+    """Hash of every ``.py`` file under ``src/repro``: the salt of every
+    spec digest and the version a remote worker's handshake must match.
 
-
-@functools.lru_cache(maxsize=1)
-def subsystem_hashes() -> dict[str, str]:
-    """Hash of each top-level subsystem's ``.py`` files under ``src/repro``.
-
-    One tree walk, cached for the process lifetime (like
-    :func:`code_version`); keys are package names plus ``""`` for loose
-    top-level modules (``cli.py``, ``__main__.py`` ...).
+    ``REPRO_CODE_VERSION`` overrides it (tests pin it to get stable
+    digests); it is read on every call, and only the tree walk is cached
+    for the process lifetime.
     """
-    root = Path(__file__).resolve().parents[1]  # .../src/repro
-    digests: dict[str, Any] = {}
-    for path in sorted(root.rglob("*.py")):
-        rel = path.relative_to(root)
-        sub = rel.parts[0] if len(rel.parts) > 1 else ""
-        digest = digests.get(sub)
-        if digest is None:
-            digest = digests[sub] = hashlib.sha256()
-        digest.update(rel.as_posix().encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return {sub: digest.hexdigest()[:16] for sub, digest in sorted(digests.items())}
-
-
-def mode_code_version(mode: str) -> str:
-    """The cache salt for one execution mode: a hash over the subsystem
-    hashes named in :data:`MODE_SUBSYSTEMS`.
-
-    ``REPRO_CODE_VERSION`` still overrides everything (all modes alike),
-    and unknown modes fall back to the whole-tree :func:`code_version`.
-    """
-    override = os.environ.get("REPRO_CODE_VERSION")
-    if override:
-        return override
-    subs = MODE_SUBSYSTEMS.get(mode)
-    if subs is None:
-        return code_version()
-    hashes = subsystem_hashes()
-    digest = hashlib.sha256()
-    for sub in subs:
-        digest.update(sub.encode())
-        digest.update(b"=")
-        digest.update(hashes.get(sub, "").encode())
-        digest.update(b";")
-    return digest.hexdigest()[:16]
+    return os.environ.get("REPRO_CODE_VERSION") or _tree_hash()
 
 
 @dataclass(frozen=True)
@@ -275,10 +184,9 @@ class RunSpec:
 
     @functools.cached_property
     def digest(self) -> str:
-        """sha256 over the canonical spec dict, salted with the code version
-        of this spec's *mode* (per-subsystem source hashes, so e.g. a
-        sanitizer edit does not invalidate cached tool artifacts)."""
-        payload = {"code_version": mode_code_version(self.mode), "spec": self.to_dict()}
+        """sha256 over the canonical spec dict, salted with
+        :func:`code_version`."""
+        payload = {"code_version": code_version(), "spec": self.to_dict()}
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
     @property
@@ -289,6 +197,3 @@ class RunSpec:
     def __str__(self) -> str:  # pragma: no cover - debug aid
         return f"<RunSpec {self.label} seed={self.seed} {self.digest[:10]}>"
 
-
-# keep dataclass field order in one place for sanity checks elsewhere
-SPEC_FIELDS = tuple(f.name for f in fields(RunSpec))

@@ -7,7 +7,7 @@ against the content-addressed cache:
    (:func:`~repro.fleet.render.collect_render_plan`): each bench entry
    point records the :class:`RunSpec` runs it would execute and gets a
    ``mode="render"`` spec of its own whose digest is its *render key*
-   (bench source + ``common.py`` + consumed-artifact digests + mode salt);
+   (bench source + ``common.py`` + consumed-artifact digests + source salt);
 2. **one pool** -- every experiment spec (bench-collected runs, the
    sanitizer sweep over the clean programs, the seeded-defect library) and
    every render spec go through a single pool -- the local
@@ -45,9 +45,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Optional, Sequence
 
-from ..observe.critical_path import critical_path, phase_of  # mode-salt: none
-from ..observe.export import write_trace  # mode-salt: none
-from ..observe.recorder import recording  # mode-salt: none
+from ..observe.critical_path import critical_path, phase_of
+from ..observe.export import write_trace
+from ..observe.recorder import recording
 from .cache import ArtifactStore, CacheStats
 from .events import EventLog
 from .execute import default_cache
@@ -266,7 +266,7 @@ def run_sweep(
     observatory = None
     try:
         if live:
-            from ..observe.live import LiveObservatory  # mode-salt: none
+            from ..observe.live import LiveObservatory
 
             observatory = LiveObservatory(
                 trace_dir, getattr(events, "path", None),

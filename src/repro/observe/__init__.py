@@ -23,11 +23,10 @@ also carries the wall clock at emission so streams merge across workers.
 Everything except wall timestamps (and pids/durations derived from them)
 is byte-stable across runs -- that is what the golden trace tests pin.
 
-Every import *of* this package is tagged ``# mode-salt: none``: trace
-output never reaches a *cached* fleet artifact (failure artifacts are
-never cached), so an observe edit invalidates no cached results -- like
-``tracetools``.  Its own imports from the fleet sit at the edges only:
-the ``observe`` CLI finds a cache's event log through
+Trace output never reaches a *cached* fleet artifact (failure artifacts
+are never cached), but the cache salt hashes the whole source tree, so an
+observe edit still re-runs every job.  Its own imports from the fleet sit
+at the edges only: the ``observe`` CLI finds a cache's event log through
 :class:`~repro.fleet.cache.ResultCache`, and the live service and its
 client speak the fleet's wire module (:mod:`repro.fleet.remote.wire`).
 """

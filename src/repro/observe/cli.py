@@ -147,7 +147,7 @@ def _cmd_summary(args: argparse.Namespace) -> int:
 
 
 def _cmd_critical_path(args: argparse.Namespace) -> int:
-    from ..fleet.cache import ResultCache  # mode-salt: none
+    from ..fleet.cache import ResultCache
 
     events_path = (
         Path(args.events) if args.events else ResultCache().events_path
@@ -168,7 +168,7 @@ def _cmd_critical_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from ..fleet.cache import ResultCache  # mode-salt: none
+    from ..fleet.cache import ResultCache
     from .live import LiveObservatory
 
     events_path = (

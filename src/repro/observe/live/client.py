@@ -17,7 +17,7 @@ import time
 from typing import Optional
 from urllib.parse import quote
 
-from ...fleet.remote.wire import (  # mode-salt: none
+from ...fleet.remote.wire import (
     TOKEN_HEADER,
     Endpoint,
     WireError,

@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Optional, Union
 from urllib.parse import parse_qs, urlparse
 
-from ...fleet.remote.wire import (  # mode-salt: none
+from ...fleet.remote.wire import (
     BackgroundServer,
     JsonRequestHandler,
 )

@@ -3,10 +3,7 @@
 This lives in :mod:`repro.pperfmark` (not the sanitizer) on purpose: program
 resolution is used by *every* execution mode -- tool runs, sanitizer runs,
 fleet sweeps -- and keeping it beside the registries it reads means none of
-those paths needs to import the sanitizer package.  That matters for the
-fleet's per-subsystem cache salts (see :mod:`repro.fleet.spec`): a
-sanitizer-only edit must not invalidate cached tool-mode artifacts, which is
-only sound if tool-mode execution genuinely never reaches sanitizer code.
+those paths needs to import the sanitizer package.
 """
 
 from __future__ import annotations

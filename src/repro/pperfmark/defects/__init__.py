@@ -18,7 +18,7 @@ from ...mpi.world import MpiProgram
 # FindingKind here is pure *expectation metadata* (which finding a sanitize
 # run of each defect must report); defect program behavior never reads it,
 # so tool-mode artifacts are unaffected by sanitizer edits.
-from ...sanitizer.findings import FindingKind  # mode-salt: sanitize
+from ...sanitizer.findings import FindingKind
 from ..base import PPerfProgram
 from ..mpi2.dataparallel import SpawnWorkload
 

@@ -15,7 +15,7 @@ Entry points:
 
 from .core import Sanitizer, normalize_mpi_name
 from .findings import Finding, FindingKind, SanitizerReport
-from .run import CLEAN_PROGRAMS, SMALL_PARAMS, resolve_program, sanitize_program
+from .run import sanitize_program
 from .vclock import vc_concurrent, vc_join, vc_leq
 
 __all__ = [
@@ -24,9 +24,6 @@ __all__ = [
     "Finding",
     "FindingKind",
     "SanitizerReport",
-    "CLEAN_PROGRAMS",
-    "SMALL_PARAMS",
-    "resolve_program",
     "sanitize_program",
     "vc_join",
     "vc_leq",

@@ -24,17 +24,13 @@ from ..analysis.runner import cluster_for
 from ..dyninst.image import ImageError
 from ..mpi.errors import MpiError, RmaEpochError, UnsupportedFeature
 from ..mpi.world import MpiProgram, MpiUniverse
-from ..observe.recorder import active as _observe_active  # mode-salt: none
-from ..pperfmark.catalog import CLEAN_PROGRAMS, SMALL_PARAMS, resolve_program
+from ..observe.recorder import active as _observe_active
+from ..pperfmark.catalog import resolve_program
 from ..sim.kernel import DeadlockError, SimulationError
 from .core import Sanitizer
 from .findings import Finding, FindingKind, SanitizerReport
 
-# CLEAN_PROGRAMS / SMALL_PARAMS / resolve_program moved to
-# repro.pperfmark.catalog (program resolution is mode-agnostic and must not
-# drag the sanitizer into tool-mode runs); re-exported here for callers that
-# grew up with them in the sanitizer namespace.
-__all__ = ["sanitize_program", "CLEAN_PROGRAMS", "SMALL_PARAMS", "resolve_program"]
+__all__ = ["sanitize_program"]
 
 
 def sanitize_program(

@@ -57,7 +57,7 @@ import heapq
 from collections import deque
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..observe.recorder import active as _observe_active  # mode-salt: none
+from ..observe.recorder import active as _observe_active
 
 __all__ = [
     "Delay",
@@ -409,6 +409,10 @@ class Kernel:
         self._queue[:] = live
         heapq.heapify(self._queue)
         self._cancelled = 0
+
+    def live_tasks(self) -> int:
+        """Tasks spawned and not yet finished, blocked ones included."""
+        return self._live_tasks
 
     def queue_depth(self) -> int:
         """Pending entries across both lanes (cancelled ones included);

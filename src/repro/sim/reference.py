@@ -144,6 +144,9 @@ class ReferenceKernel:
         """Reference cancellation: mark only; the entry leaks until popped."""
         call.cancelled = True
 
+    def live_tasks(self) -> int:
+        return self._live_tasks
+
     def queue_depth(self) -> int:
         return len(self._queue)
 

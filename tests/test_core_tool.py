@@ -5,6 +5,7 @@ import pytest
 from repro.core import Focus, Paradyn, parse_pcl
 from repro.core.pcl import PclConfig
 from repro.mpi import INT, MpiProgram
+from repro.sim.kernel import DeadlockError
 
 from conftest import ScriptProgram, make_universe
 
@@ -268,3 +269,44 @@ class TestPcl:
         tool = Paradyn(universe, config=config)
         assert tool.consultant.thresholds["PC_CPUThreshold"] == 0.05
         assert tool.frontend.bin_width == 0.1
+
+
+def _mutual_recv(mpi):
+    yield from mpi.init()
+    yield from mpi.recv(1 - mpi.rank)
+    yield from mpi.finalize()
+
+
+@pytest.mark.parametrize("consultant", [False, True])
+def test_deadlock_surfaces_under_the_tool(consultant):
+    """The daemons' samples and the Consultant's passes stop once they are
+    all that is queued while ranks are blocked, so the kernel reports the
+    deadlock as it does without the tool.  The run is bounded: ticks that
+    mask the deadlock return at ``until`` instead of hanging the suite."""
+    universe = make_universe("lam")
+    tool = Paradyn(universe)
+    tool.enable("sync_wait")
+    if consultant:
+        tool.run_consultant()
+    universe.launch(ScriptProgram(_mutual_recv), 2)
+    with pytest.raises(DeadlockError, match="2 task"):
+        universe.run(until=50.0)
+    assert universe.kernel.queue_depth() == 0
+    assert not any(daemon._sampling for daemon in tool.daemons)
+    assert tool.consultant.finished == consultant
+
+
+@pytest.mark.parametrize("consultant", [False, True])
+def test_spawned_children_are_sampled_to_the_end(consultant):
+    """A daemon for a node that only spawned children reach starts sampling
+    from inside the spawning rank's call, while that rank is live but not
+    queued: the deadlock check must not hold its first tick back, or the
+    children's messages go uncounted."""
+    from repro.analysis.runner import run_program
+    from repro.pperfmark.mpi2 import SpawnSync
+
+    program = SpawnSync()
+    result = run_program(program, consultant=consultant,
+                         metrics=[("msgs_recv", Focus.whole_program())])
+    assert len(result.tool.daemons) == 2  # the children run on a second node
+    assert result.data("msgs_recv").total() == program.expected_messages() == 2100

@@ -25,7 +25,6 @@ from repro.fleet import (
     ResultCache,
     RunSpec,
     canonical_json,
-    code_version,
     execute_spec,
     failure_artifact,
     from_bytes,
@@ -39,9 +38,7 @@ from repro.observe.export import read_jsonl
 @pytest.fixture
 def pinned_version(monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "test-version-1")
-    code_version.cache_clear()
-    yield "test-version-1"
-    code_version.cache_clear()
+    return "test-version-1"
 
 
 # ---------------------------------------------------------------- RunSpec
@@ -84,12 +81,9 @@ def test_spec_digest_sensitive_to_every_field(pinned_version):
 
 def test_spec_digest_salted_with_code_version(monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "salt-a")
-    code_version.cache_clear()
     a = RunSpec.make("oned").digest
     monkeypatch.setenv("REPRO_CODE_VERSION", "salt-b")
-    code_version.cache_clear()
     b = RunSpec.make("oned").digest
-    code_version.cache_clear()
     assert a != b
 
 

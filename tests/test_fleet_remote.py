@@ -73,9 +73,7 @@ def coordinator_cache(tmp_path, monkeypatch):
 @pytest.fixture
 def pinned_version(monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "remote-test-1")
-    code_version.cache_clear()
-    yield "remote-test-1"
-    code_version.cache_clear()
+    return "remote-test-1"
 
 
 def _stub_ok(spec: RunSpec) -> dict:
@@ -939,12 +937,10 @@ def remote_bench_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(bench))
     monkeypatch.setenv("REPRO_CODE_VERSION", "remote-sweep-test")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    code_version.cache_clear()
     saved = {
         name: sys.modules.pop(name, None) for name in ("common", "bench_alpha")
     }
     yield bench
-    code_version.cache_clear()
     for name, module in saved.items():
         if module is not None:
             sys.modules[name] = module

@@ -1,275 +1,122 @@
-"""Per-subsystem cache salts: soundness and selectivity.
+"""The cache salt: every spec digest is salted with the whole-tree hash.
 
-Soundness: every mode's salt set in ``MODE_SUBSYSTEMS`` must cover the
-mode's *import closure* -- if tool-mode execution can reach a module whose
-source is not hashed into the tool salt, an edit there would leave stale
-cached artifacts live.  The closure is recomputed here from the AST of the
-actual source tree (module-level and function-level imports alike), so
-adding a cross-subsystem import without updating the salt map fails CI.
-
-Selectivity: the point of the exercise -- edits outside a mode's closure
-must *not* change that mode's digests (a sanitizer-only change re-runs
-sanitize jobs, not the whole fleet).
+An edit anywhere under ``src/repro`` must move :func:`code_version` and with
+it the digest of every spec, whatever its mode: a salt that leaves some
+source out lets an edit there keep serving artifacts computed by the old
+code.  The table below proves it on a copy of the tree, one package at a
+time, in one subprocess.
 """
 
 from __future__ import annotations
 
-import ast
+import json
+import os
 import pathlib
+import shutil
+import subprocess
+import sys
 
 import pytest
 
-from repro.fleet.spec import (
-    MODE_SUBSYSTEMS,
-    MODES,
-    RunSpec,
-    code_version,
-    mode_code_version,
-    subsystem_hashes,
-)
+from repro.fleet.spec import MODES, RunSpec, code_version
 
-SRC_ROOT = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC_ROOT = REPO_ROOT / "src" / "repro"
+BENCH_DIR = REPO_ROOT / "benchmarks"
 
-#: the subsystems whose source each mode's *executor entry point* imports
-#: directly (see ``fleet/execute.py``); the test closes over the graph.
-MODE_ROOTS = {
-    "tool": {"fleet", "analysis", "core", "pperfmark"},
-    "sanitize": {"fleet", "sanitizer", "pperfmark"},
-    # render executes the bench modules, which live outside src/repro and
-    # so outside this AST scan; the roots enumerate every subsystem the
-    # bench suite imports (observe excluded: it feeds only timing numbers,
-    # which are outside the byte-stability contract to begin with)
-    "render": {"fleet", "analysis", "core", "pperfmark", "mpi",
-               "tracetools", "sim", "dyninst"},
-    "chaos": {"fleet"},
+#: one edited file per package (the last module in it), plus one top-level
+#: module; keyed by the package's dotted path under ``repro``
+EDITS = {
+    init.parent.relative_to(SRC_ROOT).as_posix().replace("/", "."):
+        sorted(init.parent.glob("*.py"))[-1].relative_to(SRC_ROOT).as_posix()
+    for init in sorted(SRC_ROOT.rglob("__init__.py"))
+    if init.parent != SRC_ROOT
 }
+EDITS["top-level"] = "cli.py"
+
+#: runs in the copy: appends a comment to each file in turn (restoring it
+#: after), reloads the spec module so nothing cached survives, and prints
+#: which keys stayed put.  One spec per mode; the render spec is the one
+#: the sweep builds for ``bench_scale_ranks::test_scale_ranks``, whose
+#: report prints sanitizer trace digests.
+_TABLE_SCRIPT = r"""
+import importlib, json, pathlib, sys
+
+import repro.fleet.spec as spec
+from repro.fleet.render import _render_spec, _source_hash
+
+root, bench = pathlib.Path(sys.argv[1]), pathlib.Path(sys.argv[2])
+edits = json.loads(sys.argv[3])
+sources = {"bench": _source_hash(bench / "bench_scale_ranks.py"),
+           "common": _source_hash(bench / "common.py")}
 
 
-def _subsystem_of(path: pathlib.Path) -> str:
-    rel = path.relative_to(SRC_ROOT)
-    return rel.parts[0] if len(rel.parts) > 1 else ""
+def keys():
+    importlib.reload(spec)
+    make = spec.RunSpec.make
+    return {
+        "code_version": spec.code_version(),
+        "tool": make("oned", mode="tool", metrics=("sync_wait",)).digest,
+        "sanitize": make("oned", mode="sanitize", quick=True).digest,
+        "chaos": make("chaos-0", mode="chaos").digest,
+        "render": _render_spec("bench_scale_ranks", "test_scale_ranks",
+                               sources, ()).digest,
+    }
 
 
-def _import_edges(mode: str) -> dict[str, set[str]]:
-    """subsystem -> set of subsystems it imports (module or function level).
-
-    An import line carrying a ``# mode-salt: <mode>`` pragma is a
-    mode-dispatched lazy import (the executor only reaches it for that
-    mode), so it contributes an edge only to that mode's closure.
-    """
-    packages = {p.name for p in SRC_ROOT.iterdir() if p.is_dir()}
-    edges: dict[str, set[str]] = {sub: set() for sub in packages | {""}}
-    for path in SRC_ROOT.rglob("*.py"):
-        sub = _subsystem_of(path)
-        depth = len(path.relative_to(SRC_ROOT).parts)  # 1 = top-level module
-        source = path.read_text()
-        lines = source.splitlines()
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                line = lines[node.lineno - 1]
-                if "# mode-salt:" in line:
-                    only_mode = line.split("# mode-salt:", 1)[1].strip()
-                    if only_mode != mode:
-                        continue
-            target = None
-            if isinstance(node, ast.ImportFrom):
-                if node.level:
-                    # relative: ``level`` dots climb from the containing
-                    # package; find which top-level subsystem that lands in
-                    climbed = depth - node.level  # parts left under repro/
-                    if climbed <= 0:
-                        # reached repro/ itself: target is the module path
-                        head = (node.module or "").split(".")[0]
-                        target = head if head in packages else ""
-                    else:
-                        target = sub  # still inside the same subsystem
-                elif node.module and node.module.split(".")[0] == "repro":
-                    parts = node.module.split(".")
-                    target = parts[1] if len(parts) > 1 and parts[1] in packages else ""
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    parts = alias.name.split(".")
-                    if parts[0] == "repro":
-                        t = parts[1] if len(parts) > 1 and parts[1] in packages else ""
-                        if t != sub:
-                            edges[sub].add(t)
-            if target is not None and target != sub:
-                edges[sub].add(target)
-    return edges
+base = keys()
+stayed = {}
+for name, rel in edits.items():
+    path = root / rel
+    original = path.read_bytes()
+    path.write_bytes(original + b"\n# an edit\n")
+    after = keys()
+    path.write_bytes(original)
+    stayed[name] = sorted(k for k in base if after[k] == base[k])
+print(json.dumps(stayed))
+"""
 
 
-def _closure(roots: set[str], edges: dict[str, set[str]]) -> set[str]:
-    seen = set(roots)
-    frontier = list(roots)
-    while frontier:
-        for dep in edges.get(frontier.pop(), ()):
-            if dep not in seen:
-                seen.add(dep)
-                frontier.append(dep)
-    return seen
-
-
-# ------------------------------------------------------------- soundness
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_salt_set_covers_import_closure(mode):
-    edges = _import_edges(mode)
-    reachable = _closure(MODE_ROOTS[mode], edges)
-    salted = set(MODE_SUBSYSTEMS[mode]) | {""}  # top-level always salted
-    missing = reachable - salted
-    assert not missing, (
-        f"mode {mode!r} can import subsystems {sorted(missing)} that are not "
-        f"part of its cache salt -- edits there would serve stale artifacts; "
-        f"add them to MODE_SUBSYSTEMS[{mode!r}] in repro/fleet/spec.py"
+@pytest.fixture(scope="module")
+def keys_left_in_place(tmp_path_factory):
+    """Package -> the keys an edit there left unchanged (should be none)."""
+    copy = tmp_path_factory.mktemp("tree") / "repro"
+    shutil.copytree(SRC_ROOT, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_CODE_VERSION"}
+    env["PYTHONPATH"] = str(copy.parent)
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    out = subprocess.run(
+        [sys.executable, "-c", _TABLE_SCRIPT, str(copy), str(BENCH_DIR),
+         json.dumps(EDITS)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
     )
+    return json.loads(out.stdout)
 
 
-def test_every_mode_has_a_salt_set():
-    assert set(MODE_SUBSYSTEMS) == set(MODES)
+def test_edit_table_covers_every_package():
+    assert {"observe", "sanitizer", "tracetools", "sim", "top-level"} <= set(EDITS)
+    assert all((SRC_ROOT / rel).is_file() for rel in EDITS.values())
 
 
-def test_tool_salt_excludes_sanitizer_and_tracetools():
-    """The selectivity this PR is for: these exclusions are load-bearing.
-    tracetools feeds exactly one mode's cached bytes -- the comparator
-    figures rendered by ``mode="render"`` jobs -- so it lives in that salt
-    and no other."""
-    assert "sanitizer" not in MODE_SUBSYSTEMS["tool"]
-    assert "tracetools" in MODE_SUBSYSTEMS["render"]
-    for mode in MODES:
-        if mode != "render":
-            assert "tracetools" not in MODE_SUBSYSTEMS[mode]
-
-
-def test_observe_excluded_from_every_salt():
-    """The observe subsystem never contributes to cached-artifact bytes
-    (trace output only reaches never-cached failure artifacts and side
-    files), so like tracetools it must stay out of every mode's salt --
-    and every import of it must carry the ``# mode-salt: none`` pragma so
-    the closure test above stays sound."""
-    for mode in MODES:
-        assert "observe" not in MODE_SUBSYSTEMS[mode]
-    untagged = []
-    for path in SRC_ROOT.rglob("*.py"):
-        if _subsystem_of(path) == "observe":
-            continue  # observe's own internal imports are out of scope
-        for lineno, line in enumerate(path.read_text().splitlines(), 1):
-            if ("observe" in line and ("import" in line)
-                    and ("from ..observe" in line or "from .observe" in line
-                         or "import repro.observe" in line)
-                    and "# mode-salt: none" not in line):
-                untagged.append(f"{path.relative_to(SRC_ROOT)}:{lineno}")
-    assert not untagged, (
-        "imports of repro.observe must carry '# mode-salt: none': "
-        + ", ".join(untagged)
+@pytest.mark.parametrize("package", sorted(EDITS))
+def test_source_edit_moves_every_key(package, keys_left_in_place):
+    assert keys_left_in_place[package] == [], (
+        f"an edit to {EDITS[package]} left these cache keys unchanged, so "
+        f"their artifacts would be served stale: {keys_left_in_place[package]}"
     )
-
-
-# ----------------------------------------------------------- selectivity
-
-
-def _fresh_hashes():
-    subsystem_hashes.cache_clear()
-    try:
-        return subsystem_hashes()
-    finally:
-        subsystem_hashes.cache_clear()
-
-
-def test_sanitizer_edit_leaves_tool_digests_alone(monkeypatch, tmp_path):
-    """Simulate a sanitizer-only source edit by patching its subsystem hash:
-    sanitize digests must move, tool digests must not."""
-    monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
-    code_version.cache_clear()
-    subsystem_hashes.cache_clear()
-    try:
-        tool_spec = RunSpec.make("oned", mode="tool", metrics=("sync_wait",))
-        san_spec = RunSpec.make("oned", mode="sanitize")
-        tool_before = tool_spec.digest
-        san_before = san_spec.digest
-
-        edited = dict(subsystem_hashes())
-        edited["sanitizer"] = "deadbeefdeadbeef"
-        subsystem_hashes.cache_clear()
-        monkeypatch.setattr(
-            "repro.fleet.spec.subsystem_hashes", lambda: edited
-        )
-        # fresh spec objects: digest is a cached_property
-        tool_after = RunSpec.make("oned", mode="tool", metrics=("sync_wait",)).digest
-        san_after = RunSpec.make("oned", mode="sanitize").digest
-
-        assert tool_after == tool_before, "sanitizer edit invalidated tool cache"
-        assert san_after != san_before, "sanitizer edit must invalidate sanitize cache"
-    finally:
-        code_version.cache_clear()
-        subsystem_hashes.cache_clear()
-
-
-def test_sim_edit_invalidates_every_mode(monkeypatch):
-    monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
-    code_version.cache_clear()
-    subsystem_hashes.cache_clear()
-    try:
-        before = {mode: mode_code_version(mode) for mode in MODES}
-        edited = dict(subsystem_hashes())
-        edited["sim"] = "cafebabecafebabe"
-        monkeypatch.setattr("repro.fleet.spec.subsystem_hashes", lambda: edited)
-        after = {mode: mode_code_version(mode) for mode in MODES}
-        assert all(after[mode] != before[mode] for mode in MODES)
-    finally:
-        code_version.cache_clear()
-        subsystem_hashes.cache_clear()
-
-
-def test_tracetools_edit_invalidates_only_render(monkeypatch):
-    """A tracetools edit can change the comparator figures a render job
-    bakes into its cached report bytes -- and nothing else."""
-    monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
-    code_version.cache_clear()
-    subsystem_hashes.cache_clear()
-    try:
-        before = {mode: mode_code_version(mode) for mode in MODES}
-        edited = dict(subsystem_hashes())
-        edited["tracetools"] = "0123456789abcdef"
-        monkeypatch.setattr("repro.fleet.spec.subsystem_hashes", lambda: edited)
-        after = {mode: mode_code_version(mode) for mode in MODES}
-        assert after["render"] != before["render"]
-        for mode in MODES:
-            if mode != "render":
-                assert after[mode] == before[mode]
-    finally:
-        code_version.cache_clear()
-        subsystem_hashes.cache_clear()
-
-
-def test_observe_edit_invalidates_nothing(monkeypatch):
-    """Editing the observe subsystem must not move any mode's digests:
-    tracing a sweep cannot cause it to re-execute every job."""
-    monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
-    code_version.cache_clear()
-    subsystem_hashes.cache_clear()
-    try:
-        before = {mode: mode_code_version(mode) for mode in MODES}
-        edited = dict(subsystem_hashes())
-        assert "observe" in edited  # the package exists and is hashed
-        edited["observe"] = "feedfacefeedface"
-        monkeypatch.setattr("repro.fleet.spec.subsystem_hashes", lambda: edited)
-        after = {mode: mode_code_version(mode) for mode in MODES}
-        assert after == before
-    finally:
-        code_version.cache_clear()
-        subsystem_hashes.cache_clear()
 
 
 def test_env_override_pins_all_modes(monkeypatch):
+    """``REPRO_CODE_VERSION`` is read on every call: the salt and every
+    mode's digest follow it with no cache to clear."""
     monkeypatch.setenv("REPRO_CODE_VERSION", "pinned-xyz")
-    code_version.cache_clear()
-    try:
-        assert code_version() == "pinned-xyz"
-        for mode in MODES:
-            assert mode_code_version(mode) == "pinned-xyz"
-    finally:
-        code_version.cache_clear()
+    assert code_version() == "pinned-xyz"
+    first = {mode: RunSpec.make("oned", mode=mode).digest for mode in MODES}
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned-abc")
+    assert code_version() == "pinned-abc"
+    for mode in MODES:
+        assert RunSpec.make("oned", mode=mode).digest != first[mode], mode
 
 
 # ------------------------------------------------------------ render keys
@@ -302,26 +149,13 @@ def test_render_key_covers_every_input(monkeypatch):
 
 
 def test_render_key_salted_with_render_mode(monkeypatch):
-    """Two identical render params under different mode salts differ: the
-    per-subsystem render salt is part of the key (so e.g. a tracetools
-    edit re-renders, per test_tracetools_edit_invalidates_only_render)."""
-    monkeypatch.delenv("REPRO_CODE_VERSION", raising=False)
-    code_version.cache_clear()
-    subsystem_hashes.cache_clear()
-    try:
-        base = _render_key("b" * 16, "c" * 16, ["d1"])
-        edited = dict(subsystem_hashes())
-        edited["tracetools"] = "feedface00000000"
-        monkeypatch.setattr("repro.fleet.spec.subsystem_hashes", lambda: edited)
-        assert _render_key("b" * 16, "c" * 16, ["d1"]) != base
-    finally:
-        code_version.cache_clear()
-        subsystem_hashes.cache_clear()
-
-
-def test_subsystem_hashes_cover_the_tree():
-    hashes = _fresh_hashes()
-    expected = {p.name for p in SRC_ROOT.iterdir() if p.is_dir() and (p / "__init__.py").exists()}
-    assert expected <= set(hashes)
-    assert "" in hashes  # loose top-level modules
-    assert all(len(h) == 16 for h in hashes.values())
+    """Two identical render params under different salts differ: the
+    render key carries :func:`code_version` like every mode (so any source
+    edit re-renders, per test_source_edit_moves_every_key), and the mode
+    itself, so a render spec never shares a digest with a tool spec."""
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned-render-a")
+    base = _render_key("b" * 16, "c" * 16, ["d1"])
+    assert _render_key("b" * 16, "c" * 16, ["d1"]) == base
+    assert RunSpec.make("bench_x::test_y", impl="bench").digest != base
+    monkeypatch.setenv("REPRO_CODE_VERSION", "pinned-render-b")
+    assert _render_key("b" * 16, "c" * 16, ["d1"]) != base

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.fleet import EventLog, FleetScheduler, ResultCache, RunSpec, code_version
+from repro.fleet import EventLog, FleetScheduler, ResultCache, RunSpec
 from repro.fleet.execute import failure_artifact
 from repro.observe import (
     Recorder,
@@ -37,9 +37,7 @@ from repro.observe import (
 @pytest.fixture
 def pinned_version(monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "observe-test-1")
-    code_version.cache_clear()
-    yield "observe-test-1"
-    code_version.cache_clear()
+    return "observe-test-1"
 
 
 @pytest.fixture(autouse=True)

@@ -557,25 +557,21 @@ def test_store_and_coordinator_auth(tmp_path, monkeypatch):
 
 def test_coordinator_emits_trace_relay_before_terminal(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "live-relay-test")
-    code_version.cache_clear()
-    try:
-        coord = FleetCoordinator(cache=tmp_path)
-        (spec,) = make_specs(1)
-        coord.submit_jobs({"jobs": job_rows([spec]), "trace": True})
-        response = coord.lease("w1", code_version())
-        job = response["job"]
-        assert response.get("trace") or job.get("trace")  # relay requested
-        tail = [ev(1.0, name="worker.job", kind="B")]
-        coord.result(job["lease"], ok_artifact(spec), wall=0.5, trace=tail)
-        kinds = [e["event"] for e in coord._events]
-        # the relay record precedes the terminal so a tailer that sees
-        # "completed" can rely on the mirror being on disk already
-        assert kinds.index("trace") < kinds.index("completed")
-        (relay,) = [e for e in coord._events if e["event"] == "trace"]
-        assert relay["digest"] == spec.digest
-        assert relay["worker"] == "w1" and relay["events"] == tail
-    finally:
-        code_version.cache_clear()
+    coord = FleetCoordinator(cache=tmp_path)
+    (spec,) = make_specs(1)
+    coord.submit_jobs({"jobs": job_rows([spec]), "trace": True})
+    response = coord.lease("w1", code_version())
+    job = response["job"]
+    assert response.get("trace") or job.get("trace")  # relay requested
+    tail = [ev(1.0, name="worker.job", kind="B")]
+    coord.result(job["lease"], ok_artifact(spec), wall=0.5, trace=tail)
+    kinds = [e["event"] for e in coord._events]
+    # the relay record precedes the terminal so a tailer that sees
+    # "completed" can rely on the mirror being on disk already
+    assert kinds.index("trace") < kinds.index("completed")
+    (relay,) = [e for e in coord._events if e["event"] == "trace"]
+    assert relay["digest"] == spec.digest
+    assert relay["worker"] == "w1" and relay["events"] == tail
 
 
 def test_pool_lands_relay_as_mirror_file(tmp_path):
@@ -634,13 +630,11 @@ def live_bench_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CODE_VERSION", "live-sweep-test")
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_FLEET_TOKEN", raising=False)
-    code_version.cache_clear()
     saved = {
         name: sys.modules.pop(name, None)
         for name in ("common", "bench_alpha", "bench_gamma")
     }
     yield bench
-    code_version.cache_clear()
     for name, module in saved.items():
         if module is not None:
             sys.modules[name] = module

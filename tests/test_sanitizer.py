@@ -10,7 +10,6 @@ from repro.cli import main
 from repro.analysis import render_sanitizer_report, render_sanitizer_summary
 from repro.pperfmark.defects import DEFECT_REGISTRY, defect_names
 from repro.sanitizer import (
-    CLEAN_PROGRAMS,
     FindingKind,
     normalize_mpi_name,
     sanitize_program,
@@ -20,7 +19,7 @@ from repro.sanitizer import (
 )
 from repro.analysis.runner import cluster_for
 from repro.mpi import MpiUniverse
-from repro.pperfmark.catalog import resolve_program
+from repro.pperfmark.catalog import CLEAN_PROGRAMS, resolve_program
 from repro.sanitizer.core import Sanitizer
 from repro.sanitizer.deadlock import _find_cycle
 from repro.sim.kernel import DeadlockError

@@ -332,7 +332,8 @@ def test_gc_closing_a_stranded_call_under_paradyn_raises_nothing(monkeypatch):
         tool = Paradyn(universe)
         tool.enable("sync_wait")
         universe.launch(ScriptProgram(_mutual_recv), 2)
-        universe.run(until=5.0)
+        with pytest.raises(DeadlockError):
+            universe.run(until=5.0)
 
     unraisable = []
     monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
