@@ -9,9 +9,10 @@ neighbour puts), and an sstwod-style ghost exchange (the ``exchng2``
 Sendrecv ring from "Using MPI") -- are swept over rank counts
 {64, 256, 1024[, 4096]} under the sanitizer (vector clocks, strict RMA
 epochs, the trace digest).  This is the end-to-end workout for the
-kernel's batched event cohorts, the sanitizer's copy-on-write/interned
-vector clocks, and the engine's O(1) group lookups: exactly the pieces
-that make ``ranks`` a scaling axis instead of a wall.
+kernel's per-waiter wakeups (a barrier release queues one zero-lane entry
+per rank), the sanitizer's copy-on-write/interned vector clocks, and the
+engine's O(1) group lookups: exactly the pieces that make ``ranks`` a
+scaling axis instead of a wall.
 
 A fourth shape, ``tool``, scales the *tool* instead of the sanitizer:
 the full Paradyn stack with the Performance Consultant searching a

@@ -204,8 +204,8 @@ def _verify_spawnsync_counts(verdict: Verdict, result: RunResult) -> bool:
     measured = result.data("msgs_recv").total()
     # children also receive nothing else on the intercomm; parents receive 0
     return verdict.note(
-        _close(measured, expected, 0.05),
-        f"counted {measured:.0f} received messages ~= expected {expected}",
+        _close(measured, expected, 0.0),
+        f"counted {measured:.0f} received messages == expected {expected}",
     )
 
 

@@ -1314,8 +1314,6 @@ class _RelayTask:
 
     __slots__ = ("time", "seq", "value", "callback")
 
-    cancelled = False
-
     def __init__(self, relay):
         self.callback = relay
 

@@ -114,7 +114,7 @@ class Recorder:
 
     def instant(self, name: str, *, clock: str = "wall",
                 t: Optional[float] = None, **args: Any) -> None:
-        """A point marker (cache hit, retry, heap compaction)."""
+        """A point marker (cache hit, retry, sanitizer verdict)."""
         self._emit("I", clock, t, name, args)
 
     @contextmanager

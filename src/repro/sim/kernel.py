@@ -29,22 +29,14 @@ Scheduling internals (the fast path; see DESIGN.md "kernel fast path"):
   allocate a :class:`_ScheduledCall` around a bound method.  A suspended
   task waits on exactly one effect, so it has at most one entry pending,
   and seqs are consumed exactly as ``schedule`` consumes them.
-  ``schedule`` still returns a cancellable ``_ScheduledCall`` for every
-  other callback.
 * Zero-delay calls (event triggers, task spawns -- the majority of all
   scheduling in message-heavy workloads) bypass the heap through a FIFO
   deque.  Global execution order is still exactly (time, seq): a zero-delay
   call carries ``time == now`` and the largest seq issued so far, the heap
   never holds anything earlier than ``now``, and the run loop merges the
   two lanes by comparing (time, seq) across their heads.
-* Cancelled heap entries are counted and the heap is compacted once more
-  than half of it is dead, so mass cancellation cannot leak memory.
-* Event triggers with many waiters (a barrier releasing thousands of ranks)
-  enqueue ONE batched cohort entry instead of N zero-lane entries.  The
-  cohort owns a contiguous seq block, so the global (time, seq) order --
-  and therefore every observable -- is bit-identical to unbatched
-  execution; see DESIGN.md "batched event cohorts" for the invariant
-  argument.
+* An event trigger queues each waiter as its own zero-lane entry, in the
+  order the waiters registered, exactly as the reference kernel does.
 * A task whose ``Delay(dt)`` wakeup would be the very next entry to run
   calls :meth:`Kernel.advance` instead: the clock moves, one seq and one
   event are consumed, and the task carries on inside the entry being
@@ -55,7 +47,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from ..observe.recorder import active as _observe_active
 
@@ -70,12 +62,7 @@ __all__ = [
 ]
 
 
-#: trigger wakeups at/above this waiter count are executed as one batched
-#: cohort (below it, per-waiter zero-lane entries are cheaper); the value
-#: only moves the crossover point -- execution order is identical either way
-BATCH_MIN_WAITERS = 8
-
-#: the run-ahead bound outside run() and while a cohort has members left
+#: the run-ahead bound outside run()
 _NO_RUN_AHEAD = float("-inf")
 _INF = float("inf")
 
@@ -143,9 +130,6 @@ class SimEvent:
         self._value = value
         waiters, self._waiters = self._waiters, []
         kernel = self.kernel
-        if len(waiters) >= BATCH_MIN_WAITERS:
-            kernel._schedule_batch([task.callback for task in waiters], value)
-            return
         # each waiter is its own zero-lane entry (Kernel._wake, inlined)
         now = kernel.now
         seq = kernel._seq
@@ -160,8 +144,8 @@ class SimEvent:
 
     def add_waiter(self, task: "Task") -> None:
         """Wait ``task`` on this event: a :class:`Task`, or any object with
-        the same entry slots (``time``, ``seq``, ``value``, ``callback``,
-        ``cancelled``) that has no other wakeup pending."""
+        the same entry slots (``time``, ``seq``, ``value``, ``callback``)
+        that has no other wakeup pending."""
         if self._triggered:
             self.kernel._wake(task, self._value)
         else:
@@ -189,8 +173,6 @@ class Task:
     __slots__ = ("kernel", "name", "_gen", "result", "done_event", "finished", "error",
                  "time", "seq", "value", "callback")
 
-    cancelled = False
-
     def __init__(self, kernel: "Kernel", gen: Generator, name: str = "task") -> None:
         if not hasattr(gen, "send"):
             raise TypeError(f"task body for {name!r} must be a generator, got {type(gen).__name__}")
@@ -214,7 +196,6 @@ class Task:
             self.finished = True
             self.callback = None
             self.kernel._live_tasks -= 1
-            self.kernel._failed_task = self
             raise
         cls = effect.__class__
         if cls is Delay:
@@ -268,58 +249,16 @@ class _ScheduledCall:
     ``(time, seq, call)`` tuple, not here, so no comparison methods run in
     the hot loop; the record itself is just a slotted attribute bundle."""
 
-    __slots__ = ("time", "seq", "callback", "value", "cancelled")
+    __slots__ = ("time", "seq", "callback", "value")
 
-    def __init__(
-        self,
-        time: float,
-        seq: int,
-        callback: Callable,
-        value: Any = _NOVALUE,
-        cancelled: bool = False,
-    ) -> None:
+    def __init__(self, time: float, seq: int, callback: Callable, value: Any = _NOVALUE) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.value = value
-        self.cancelled = cancelled
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        flag = " cancelled" if self.cancelled else ""
-        return f"<_ScheduledCall t={self.time} seq={self.seq}{flag}>"
-
-
-class _BatchCall:
-    """A cohort of same-timestamp wakeups executed as one queue entry.
-
-    ``seq`` is the *first* member's sequence number; the cohort owns the
-    contiguous block ``[seq, seq + len(callbacks))``, reserved at enqueue
-    time by advancing the kernel's counter.  Because the counter is
-    monotonic, anything scheduled later -- including from inside a member
-    callback -- sorts after every member, so running the members
-    back-to-back is exactly the order the unbatched per-waiter entries
-    would have executed in.  ``pos`` is the resume cursor: an exception
-    escaping member ``i`` leaves the cohort re-queued at ``pos == i + 1``,
-    matching the unbatched behaviour of losing only the raising entry.
-    Cohorts are never cancelled (triggers expose no handle to cancel).
-    """
-
-    __slots__ = ("time", "seq", "callbacks", "value", "pos")
-
-    cancelled = False
-
-    def __init__(self, time: float, seq: int, callbacks: list, value: Any) -> None:
-        self.time = time
-        self.seq = seq
-        self.callbacks = callbacks
-        self.value = value
-        self.pos = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<_BatchCall t={self.time} seq={self.seq} "
-            f"{self.pos}/{len(self.callbacks)}>"
-        )
+        return f"<_ScheduledCall t={self.time} seq={self.seq}>"
 
 
 class Kernel:
@@ -336,16 +275,14 @@ class Kernel:
         #: timed lane: a heap of (time, seq, entry) tuples, where an entry
         #: is a _ScheduledCall or a waking Task
         self._queue: list[tuple[float, int, Any]] = []
-        #: zero-delay lane: FIFO of entries (and cohorts) with time == now
+        #: zero-delay lane: FIFO of entries with time == now
         self._zero: deque[Any] = deque()
         self._seq = 0
-        self._cancelled = 0  # cancelled entries still sitting in the heap
         self._live_tasks = 0
-        self._failed_task: Optional[Task] = None
         # run() state that advance() reads: the latest time a wakeup may be
         # dispatched at (run()'s ``until``, +inf without one; _NO_RUN_AHEAD
-        # when no single entry is being dispatched), the events counted so
-        # far, advances included, and the cap on them
+        # outside run()), the events counted so far, advances included, and
+        # the cap on them
         self._horizon = _NO_RUN_AHEAD
         self._events = 0
         self._max_events = 0
@@ -357,73 +294,28 @@ class Kernel:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, delay: float, callback: Callable, value: Any = _NOVALUE) -> _ScheduledCall:
+    def schedule(self, delay: float, callback: Callable, value: Any = _NOVALUE) -> None:
         """Schedule ``callback(value)`` -- or ``callback()`` when no value is
         given -- at ``now + delay``."""
         if delay == 0.0:
             seq = self._seq + 1
             self._seq = seq
-            call = _ScheduledCall(self.now, seq, callback, value)
-            self._zero.append(call)
-            return call
+            self._zero.append(_ScheduledCall(self.now, seq, callback, value))
+            return
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
         seq = self._seq + 1
         self._seq = seq
         call = _ScheduledCall(self.now + delay, seq, callback, value)
         heapq.heappush(self._queue, (call.time, seq, call))
-        return call
-
-    def _schedule_batch(self, callbacks: list, value: Any) -> None:
-        """Enqueue one zero-delay cohort for ``callbacks`` (all fired with
-        ``value``), reserving a contiguous seq block so (time, seq) order
-        is identical to ``len(callbacks)`` individual schedule() calls."""
-        first = self._seq + 1
-        self._seq = first + len(callbacks) - 1
-        self._zero.append(_BatchCall(self.now, first, callbacks, value))
-
-    def cancel(self, call: _ScheduledCall) -> None:
-        """Cancel a pending call.  Dead heap entries are counted and the heap
-        is compacted once cancelled entries outnumber live ones, so mass
-        cancellation (e.g. timeout guards that almost always get cancelled)
-        cannot grow the queue without bound."""
-        if call.cancelled:
-            return
-        call.cancelled = True
-        # Zero-lane entries drain within the current time step, so only heap
-        # residency can leak.  The count is a safe overestimate for zero-lane
-        # cancels; compaction recomputes it exactly.
-        self._cancelled += 1
-        if self._cancelled * 2 > len(self._queue):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify in place (pop order depends
-        only on the unique (time, seq) keys, so execution order is
-        unchanged)."""
-        live = [entry for entry in self._queue if not entry[2].cancelled]
-        rec = _observe_active()
-        if rec is not None:
-            rec.instant("kernel.compact", clock="sim", t=self.now,
-                        dropped=len(self._queue) - len(live), live=len(live))
-        self._queue[:] = live
-        heapq.heapify(self._queue)
-        self._cancelled = 0
 
     def live_tasks(self) -> int:
         """Tasks spawned and not yet finished, blocked ones included."""
         return self._live_tasks
 
     def queue_depth(self) -> int:
-        """Pending entries across both lanes (cancelled ones included);
-        batched cohorts count their not-yet-run members."""
-        depth = len(self._queue)
-        for call in self._zero:
-            if call.__class__ is _BatchCall:
-                depth += len(call.callbacks) - call.pos
-            else:
-                depth += 1
-        return depth
+        """Pending entries across both lanes."""
+        return len(self._queue) + len(self._zero)
 
     def event(self, name: str = "") -> SimEvent:
         return SimEvent(self, name=name)
@@ -452,10 +344,10 @@ class Kernel:
         """Run the calling task ``dt`` ahead without a heap round trip.
 
         Acts only when the wakeup of a ``Delay(dt)`` yielded now would be
-        the next entry run() dispatches: run() is dispatching a single entry
-        (no batched cohort has members left to run), the zero lane is empty,
-        the heap head -- cancelled or not -- is strictly later than
-        ``now + dt``, and ``now + dt`` is within run()'s ``until``.  Then
+        the next entry run() dispatches: inside run(), the zero lane is
+        empty (so no woken waiter is left to run first), the heap head is
+        strictly later than ``now + dt``, and ``now + dt`` is within run()'s
+        ``until``.  Then
         ``now`` becomes ``now + dt``, computed as :meth:`schedule` computes
         it, and one seq and one event are consumed, as scheduling and
         popping that wakeup would, so later seqs, the ``kernel.run`` event
@@ -532,44 +424,7 @@ class Kernel:
                     popleft()
                 else:
                     heappop(queue)
-                if head.cancelled:
-                    if not from_zero and self._cancelled:
-                        self._cancelled -= 1
-                    continue
                 self.now = head.time
-                if head.__class__ is _BatchCall:
-                    # run the cohort back-to-back: nothing can preempt it
-                    # (zero-lane appends and heap pushes made during execution
-                    # all carry seqs beyond the cohort's reserved block), and
-                    # no member runs ahead while another is left to run
-                    callbacks = head.callbacks
-                    value = head.value
-                    n = len(callbacks)
-                    pos = head.pos
-                    self._horizon = _NO_RUN_AHEAD
-                    try:
-                        while pos < n:
-                            callback = callbacks[pos]
-                            pos += 1
-                            if pos == n:
-                                self._horizon = horizon
-                            callback(value)
-                            events = self._events + 1
-                            self._events = events
-                            if rec is not None and not (events & 8191):
-                                rec.counter("kernel.events", events, clock="sim", t=self.now)
-                            if events > max_events:
-                                raise SimulationError(
-                                    f"exceeded max_events={max_events}; runaway simulation?"
-                                )
-                    except BaseException:
-                        # keep the cohort resumable past the raising member,
-                        # exactly like unbatched entries left in the deque
-                        if pos < n:
-                            head.pos = pos
-                            zero.appendleft(head)
-                        raise
-                    continue
                 value = head.value
                 if value is novalue:
                     head.callback()
@@ -593,17 +448,4 @@ class Kernel:
                 f"simulation deadlock at t={self.now:.6f}: {blocked} task(s) "
                 "blocked with an empty event queue"
             )
-        return self.now
-
-    def run_tasks(self, tasks: Iterable[Task], until: Optional[float] = None) -> float:
-        """Run until every task in ``tasks`` has finished (or ``until``)."""
-        tasks = list(tasks)
-        deadline = until
-        while any(not t.finished for t in tasks):
-            before = self.now
-            self.run(until=deadline)
-            if deadline is not None and self.now >= deadline:
-                break
-            if self.now == before and not self._queue and not self._zero:
-                break
         return self.now

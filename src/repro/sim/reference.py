@@ -1,13 +1,13 @@
 """Reference event loop: the pre-fast-path kernel, kept verbatim.
 
 This is the seed implementation of :class:`~repro.sim.kernel.Kernel`
-(``@dataclass(order=True)`` heap entries, a single heapq lane, no
-cancellation bookkeeping), preserved for two jobs:
+(``@dataclass(order=True)`` heap entries, a single heapq lane, one
+``schedule`` per woken waiter), preserved for two jobs:
 
 * **property tests** -- ``tests/test_kernel_fastpath.py`` drives random
-  mixed workloads (schedule / cancel / zero-delay / SimEvent churn) through
-  both kernels and asserts identical execution order and identical virtual
-  times, which is the determinism argument for the fast path;
+  mixed workloads (schedule / zero-delay / SimEvent churn / mass wakeups)
+  through both kernels and asserts identical execution order and identical
+  virtual times, which is the determinism argument for the fast path;
 * **perf baseline** -- ``benchmarks/bench_kernel_throughput.py`` times the
   same scenarios on both kernels, so ``BENCH_kernel.json`` carries real
   before/after events-per-second numbers and a machine-independent speedup
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Optional
 
 from .kernel import DeadlockError, Delay, SimulationError, WaitEvent
 
@@ -140,10 +140,6 @@ class ReferenceKernel:
         heapq.heappush(self._queue, call)
         return call
 
-    def cancel(self, call: _ScheduledCall) -> None:
-        """Reference cancellation: mark only; the entry leaks until popped."""
-        call.cancelled = True
-
     def live_tasks(self) -> int:
         return self._live_tasks
 
@@ -189,15 +185,4 @@ class ReferenceKernel:
                 f"simulation deadlock at t={self.now:.6f}: {self._live_tasks} task(s) "
                 "blocked with an empty event queue"
             )
-        return self.now
-
-    def run_tasks(self, tasks: Iterable[ReferenceTask], until: Optional[float] = None) -> float:
-        tasks = list(tasks)
-        while any(not t.finished for t in tasks):
-            before = self.now
-            self.run(until=until)
-            if until is not None and self.now >= until:
-                break
-            if self.now == before and not self._queue:
-                break
         return self.now

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.analysis import (
     verify_program,
 )
 from repro.analysis.stats import _t_critical
-from repro.analysis.verify import Verdict
+from repro.analysis.verify import Verdict, _verify_spawnsync_counts
 from repro.pperfmark import HotProcedure
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -178,3 +179,19 @@ class TestVerdicts:
         assert verdict.tool_result == "Fail"
         assert verdict.paper_result == "Fail"
         assert verdict.passed  # reproduction matches the paper's row
+
+    def test_spawnsync_count_one_message_short_is_a_miss(self):
+        # the simulation is deterministic, so a tool that misses even one
+        # spawned child's message has stopped observing it
+        result = SimpleNamespace(
+            program=SimpleNamespace(expected_messages=lambda: 2100),
+            data={"msgs_recv": SimpleNamespace(total=lambda: 2099.0)}.__getitem__,
+        )
+        verdict = Verdict(program="spawnsync", impl="lam")
+        assert _verify_spawnsync_counts(verdict, result) is False
+        assert verdict.details == ["MISS counted 2099 received messages == expected 2100"]
+
+    def test_spawnsync_verdict_counts_every_message(self):
+        verdict = verify_program("spawnsync", "lam")
+        assert verdict.passed
+        assert "PASS counted 2100 received messages == expected 2100" in verdict.details

@@ -1,18 +1,17 @@
 """The kernel fast path against the reference implementation.
 
 The optimized :class:`~repro.sim.kernel.Kernel` (tuple heap entries,
-zero-delay FIFO lane, cancellation compaction) must execute every workload
-in exactly the same order, at exactly the same virtual times, as the seed
-:class:`~repro.sim.reference.ReferenceKernel` (single heapq of
+zero-delay FIFO lane, tasks as their own wakeup entries) must execute every
+workload in exactly the same order, at exactly the same virtual times, as
+the seed :class:`~repro.sim.reference.ReferenceKernel` (single heapq of
 ``@dataclass(order=True)`` entries).  A hypothesis property test drives
-randomly generated mixed workloads -- timed schedules, zero delays,
-cancellations, event trigger/wait churn, task spawns -- through both and
-compares the full execution logs.
+randomly generated mixed workloads -- timed schedules, zero delays, event
+trigger/wait churn, mass wakeups, task spawns -- through both and compares
+the full execution logs.
 
-Also here: the cancelled-entry heap-compaction behavior (satellite of the
-fast-path PR: mass cancellation must not leak queue memory), the run-ahead
-(:meth:`Kernel.advance`, which the reference never takes) and the
-run-to-run determinism of the ``BENCH_kernel.json`` scenario observables.
+Also here: the run-ahead (:meth:`Kernel.advance`, which the reference never
+takes) and the run-to-run determinism of the ``BENCH_kernel.json`` scenario
+observables.
 """
 
 from __future__ import annotations
@@ -37,15 +36,13 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "benchmarks
 #
 # A workload is a list of ops executed against either kernel through the
 # same code, so any divergence is the kernel's doing.  Ops reference
-# previously scheduled calls / created events by index (modulo the pool
-# size), covering cancel-after-fire, double-cancel, trigger-with-waiters,
-# wait-on-already-triggered, and zero-delay storms.
+# previously created events by index (modulo the pool size), covering
+# trigger-with-waiters, wait-on-already-triggered, and zero-delay storms.
 
 OP = st.one_of(
     st.tuples(st.just("sched"), st.floats(min_value=0.0, max_value=5.0,
                                           allow_nan=False, allow_infinity=False)),
     st.tuples(st.just("sched0"), st.integers(min_value=1, max_value=4)),
-    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("event"), st.integers(min_value=0, max_value=3)),
     st.tuples(st.just("trigger"), st.integers(min_value=0, max_value=63)),
     st.tuples(st.just("spawn_waiter"), st.integers(min_value=0, max_value=63)),
@@ -69,7 +66,6 @@ def _relay(kernel, callback):
 def _execute(kernel, ops):
     """Run one workload; return the execution log [(tag, time), ...]."""
     log = []
-    calls = []
     events = []
 
     def fire(tag):
@@ -80,9 +76,9 @@ def _execute(kernel, ops):
             # terminate after one generation
             if tag < 1000:
                 if tag % 5 == 0:
-                    calls.append(kernel.schedule(0.25, fire(tag + 1000)))
+                    kernel.schedule(0.25, fire(tag + 1000))
                 if tag % 7 == 0:
-                    calls.append(kernel.schedule(0.0, fire(tag + 2000)))
+                    kernel.schedule(0.0, fire(tag + 2000))
         return cb
 
     def waiter(tag, event):
@@ -109,14 +105,11 @@ def _execute(kernel, ops):
         kind, arg = op
         next_tag += 1
         if kind == "sched":
-            calls.append(kernel.schedule(arg, fire(next_tag)))
+            kernel.schedule(arg, fire(next_tag))
         elif kind == "sched0":
             for _ in range(arg):
                 next_tag += 1
-                calls.append(kernel.schedule(0.0, fire(next_tag)))
-        elif kind == "cancel":
-            if calls:
-                kernel.cancel(calls[arg % len(calls)])
+                kernel.schedule(0.0, fire(next_tag))
         elif kind == "event":
             for _ in range(arg + 1):
                 events.append(kernel.event(f"ev{len(events)}"))
@@ -132,15 +125,13 @@ def _execute(kernel, ops):
         elif kind in ("mass_wait", "mass_run"):
             # a fresh event with ``arg`` tasks parked on it, triggered from
             # inside the run (before run() no waiter has registered yet):
-            # with >= BATCH_MIN_WAITERS the fast kernel wakes them as one
-            # batched cohort (one _BatchCall owning a contiguous seq block),
-            # the reference one entry per waiter.  Waiters whose tag is
+            # both kernels queue one entry per waiter.  Waiters whose tag is
             # divisible by 3 Delay after waking, and runners try to run
-            # ahead, so members leave the cohort mid-flight too.
+            # ahead while other woken waiters are still queued.
             ev = kernel.event(f"mass{next_tag}")
             for i in range(arg):
                 next_tag += 1
-                if i == arg // 2:  # a relay among the cohort's members
+                if i == arg // 2:  # a relay among the woken waiters
                     relay_to(next_tag, ev)
                 if kind == "mass_wait":
                     kernel.spawn(waiter(next_tag, ev), name=f"mw{next_tag}")
@@ -182,14 +173,14 @@ def test_mixed_workloads_match_reference(ops):
     assert fast_now == ref_now
 
 
-# -- batched event cohorts ----------------------------------------------------
+# -- mass wakeups -------------------------------------------------------------
 #
-# Triggering an event with >= BATCH_MIN_WAITERS (8) waiters wakes them as one
-# batched cohort step instead of one queue entry each.  The property test
-# mixes mass waits into the general op soup; cohorts interact with timed
-# entries, zero-delay storms, cancellations, and members that block again
-# mid-cohort (Delay after wake), and the log must still match the reference
-# entry-per-waiter kernel exactly.
+# One trigger waking a cohort of many waiters (8-32 here, 1,000 in the
+# directed case; a barrier release at scale) queues one zero-lane entry per
+# waiter.  The property test mixes mass waits into the general op soup, where
+# the woken waiters interact with timed entries, zero-delay storms, waiters
+# that block again (Delay after wake) and runners that try to run ahead while
+# others are still queued, and the log must match the reference exactly.
 
 COHORT_OP = st.one_of(
     OP,
@@ -209,7 +200,7 @@ def test_cohort_workloads_match_reference(ops):
 
 def test_large_cohort_matches_reference():
     """Directed case at bench scale: a thousand waiters on one event, woken
-    by a single trigger, with every third member re-blocking mid-cohort."""
+    by a single trigger, with every third one blocking again on waking."""
     ops = [
         ("sched", 1.0),
         ("mass_wait", 1000),
@@ -318,7 +309,7 @@ def test_advance_declines_outside_run():
     assert kernel.advance(1.0) is False and kernel.now == 5.0
 
 
-def test_advance_declines_inside_a_cohort_with_members_left():
+def test_advance_declines_while_woken_waiters_are_queued():
     kernel = Kernel()
     go = kernel.event("go")
     results = []
@@ -327,11 +318,11 @@ def test_advance_declines_inside_a_cohort_with_members_left():
         yield WaitEvent(go)
         results.append(kernel.advance(1.0))
 
-    for _ in range(8):  # BATCH_MIN_WAITERS: one batched cohort
+    for _ in range(8):
         kernel.spawn(member())
     kernel.schedule(0.5, lambda: go.trigger())
     kernel.run()
-    # only the last member has no member left behind it
+    # only the last woken waiter finds no other one queued behind it
     assert results == [False] * 7 + [True]
     assert kernel.now == 1.5
 
@@ -348,8 +339,7 @@ def test_advance_declines_when_a_heap_entry_has_the_same_time():
     assert _advance_from_task(kernel, 1.0) == (False, 0.0)
     kernel = Kernel()
     kernel.schedule(9.0, lambda: None)
-    kernel.schedule(9.0, lambda: None)  # live majority: no compaction
-    kernel.cancel(kernel.schedule(1.0, lambda: None))  # cancelled or not
+    kernel.schedule(1.0, lambda: None)  # pushed after a later entry: the head
     assert _advance_from_task(kernel, 1.0) == (False, 0.0)
     kernel = Kernel()
     kernel.schedule(1.0, lambda: None)
@@ -385,49 +375,6 @@ def test_spinning_on_advance_still_hits_max_events():
             kernel.run(max_events=100)
         stops.append((kernel.now, kernel._seq))
     assert stops[0] == stops[1] == (100.0, 102)
-
-
-# -- cancellation compaction --------------------------------------------------
-
-
-def test_mass_cancellation_compacts_heap():
-    """Cancelling most of the queue must shrink it (the seed leaked dead
-    entries until their pop time arrived)."""
-    kernel = Kernel()
-    calls = [kernel.schedule(float(i + 1), lambda: None) for i in range(1000)]
-    assert kernel.queue_depth() == 1000
-    for call in calls[:900]:
-        kernel.cancel(call)
-    # compaction triggers once cancelled entries outnumber live ones
-    assert kernel.queue_depth() < 200
-    assert kernel.queue_depth() >= 100  # live entries survive
-
-
-def test_cancelled_calls_never_fire():
-    kernel = Kernel()
-    fired = []
-    keep = kernel.schedule(1.0, lambda: fired.append("keep"))
-    for i in range(50):
-        kernel.cancel(kernel.schedule(2.0, lambda i=i: fired.append(i)))
-    zero = kernel.schedule(0.0, lambda: fired.append("zero"))
-    kernel.cancel(zero)
-    kernel.run()
-    assert fired == ["keep"]
-    assert keep.time == 1.0
-
-
-def test_cancel_is_idempotent_and_order_preserving():
-    kernel = Kernel()
-    log = []
-    a = kernel.schedule(1.0, lambda: log.append("a"))
-    b = kernel.schedule(2.0, lambda: log.append("b"))
-    c = kernel.schedule(3.0, lambda: log.append("c"))
-    kernel.cancel(b)
-    kernel.cancel(b)  # double-cancel must not corrupt the count
-    kernel.run()
-    assert log == ["a", "c"]
-    assert kernel.queue_depth() == 0
-    assert (a.cancelled, b.cancelled, c.cancelled) == (False, True, False)
 
 
 # -- BENCH_kernel.json determinism -------------------------------------------

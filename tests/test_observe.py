@@ -263,20 +263,6 @@ def test_kernel_run_is_silent_without_recorder():
     _churn()  # must not raise, must not need a recorder
 
 
-def test_kernel_compact_emits_instant():
-    from repro.sim.kernel import Kernel
-
-    with recording(capacity=256) as rec:
-        kernel = Kernel()
-        calls = [kernel.schedule(1.0 + i, lambda: None) for i in range(64)]
-        for call in calls:
-            kernel.cancel(call)  # mass cancellation forces a compaction
-    compacts = [e for e in rec.events() if e["name"] == "kernel.compact"]
-    assert compacts
-    assert compacts[-1]["clock"] == "sim"
-    assert compacts[-1]["args"]["dropped"] > 0
-
-
 def test_kernel_trace_is_deterministic_across_runs():
     runs = []
     for _ in range(2):

@@ -1,18 +1,18 @@
 """The rank-count scaling axis: golden digests and O(live) sampling.
 
-The scale PR (batched kernel cohorts, copy-on-write/interned vector
-clocks, O(live) daemon sampling) is a pure performance change: every
-deterministic observable of a sanitized run -- the trace digest, the
-final virtual time, the event count -- must be *byte-identical* to the
-pre-change implementation.  The goldens below were recorded with the
-eager dict-per-event vector clocks and the unbatched kernel; any digest
-drift here means the refactor changed behaviour, not just speed.
+The scaling work (copy-on-write/interned vector clocks, O(live) daemon
+sampling) is a pure performance change: every deterministic observable
+of a sanitized run -- the trace digest, the final virtual time, the
+event count -- must be *byte-identical* to the pre-change
+implementation.  The goldens below were recorded with the eager
+dict-per-event vector clocks and the unbatched kernel, whose one
+zero-lane entry per woken waiter is the kernel's only wakeup path; any
+digest drift here means a refactor changed behaviour, not just speed.
 
 Tier-1 runs the reduced sweep (16/64 ranks); the full-scale cells
 (256/1024 ranks, the tentpole target) are ``slow``-marked and ride in
 CI's full suite pass.  Also here: the regression test for the daemon
-dropping exited processes from its sampling structures (satellite of
-the same PR).
+dropping exited processes from its sampling structures.
 """
 
 from __future__ import annotations
@@ -29,7 +29,8 @@ import bench_scale_ranks as bench
 from conftest import ScriptProgram, make_universe
 
 # (shape, ranks) -> (trace digest, virtual time, event count), recorded
-# before the sparse-clock/batched-kernel rewrite (the byte-identity oracle)
+# before the sparse-clock rewrite on the unbatched kernel (the byte-identity
+# oracle)
 GOLDEN = {
     ("barrier", 16): ("3139ed01348d902626a7dd84b7a4ecfd8bccfa981012d5cc312d2597e1a68b25", 0.0031176, 567),
     ("barrier", 64): ("6d07aa335bb83368a393f3dc78e51fdd0f7918898430fd1e51df71b45d0a27b0", 0.0031224, 2295),

@@ -190,16 +190,6 @@ def test_nested_generators_compose():
     assert kernel.now == 2.0
 
 
-def test_cancelled_call_skipped():
-    kernel = Kernel()
-    seen = []
-    call = kernel.schedule(1.0, lambda: seen.append("x"))
-    call.cancelled = True
-    kernel.schedule(2.0, lambda: seen.append("y"))
-    kernel.run()
-    assert seen == ["y"]
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=30))
 def test_property_callbacks_fire_in_nondecreasing_time(delays):
@@ -227,34 +217,3 @@ def test_property_task_time_is_sum_of_delays(delays):
     kernel.spawn(body())
     kernel.run()
     assert kernel.now == pytest.approx(sum(delays))
-
-
-def test_run_tasks_waits_for_named_tasks_only():
-    kernel = Kernel()
-
-    def short():
-        yield Delay(1.0)
-        return "short"
-
-    def long():
-        yield Delay(10.0)
-        return "long"
-
-    a = kernel.spawn(short())
-    kernel.spawn(long())
-    kernel.run_tasks([a])
-    assert a.finished
-    assert kernel.now >= 1.0
-
-
-def test_run_tasks_honors_deadline():
-    kernel = Kernel()
-
-    def forever():
-        while True:
-            yield Delay(1.0)
-
-    task = kernel.spawn(forever())
-    kernel.run_tasks([task], until=3.0)
-    assert not task.finished
-    assert kernel.now == pytest.approx(3.0)
