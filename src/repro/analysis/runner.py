@@ -19,7 +19,7 @@ from ..mpi.world import MpiUniverse, MpiWorld
 from ..pperfmark.base import PPerfProgram
 from ..sim.node import Cluster
 
-__all__ = ["RunResult", "run_program", "cluster_for"]
+__all__ = ["RunResult", "run_program", "cluster_for", "rank_placement"]
 
 
 @dataclass
@@ -56,6 +56,16 @@ def cluster_for(nprocs: int, procs_per_node: int, cpus_per_node: int = 2) -> Clu
     procs_per_node = max(1, min(procs_per_node, cpus_per_node))
     nodes = max(2, math.ceil(nprocs / procs_per_node))
     return Cluster(num_nodes=nodes, cpus_per_node=cpus_per_node)
+
+
+def rank_placement(cluster: Cluster, nprocs: int, procs_per_node: int) -> list:
+    """The CPU of each rank: ``procs_per_node`` ranks per node, in node
+    order, wrapping round the cluster."""
+    per_node = max(1, min(procs_per_node, cluster.nodes[0].num_cpus))
+    return [
+        cluster.nodes[(rank // per_node) % cluster.num_nodes].cpus[rank % per_node]
+        for rank in range(nprocs)
+    ]
 
 
 def run_program(
@@ -96,12 +106,7 @@ def run_program(
             tool.enable(metric, focus)
         if consultant:
             tool.run_consultant()
-    # placement: procs_per_node ranks per node, in node order
-    placement = []
-    per_node = max(1, min(program.procs_per_node, cluster.nodes[0].num_cpus))
-    for rank in range(nprocs):
-        node = cluster.nodes[(rank // per_node) % cluster.num_nodes]
-        placement.append(node.cpus[rank % per_node])
+    placement = rank_placement(cluster, nprocs, program.procs_per_node)
     world = universe.launch(program, nprocs, placement=placement)
     universe.run(until=until)
     return RunResult(

@@ -127,12 +127,6 @@ def _check_expectation(verdict: Verdict, expectation: Expectation, result: RunRe
     return ok
 
 
-def _close(measured: float, expected: float, tolerance: float = 0.02) -> bool:
-    if expected == 0:
-        return measured == 0
-    return abs(measured - expected) / abs(expected) <= tolerance
-
-
 def _verify_allcount(verdict: Verdict, result: RunResult) -> bool:
     program = result.program
     ok = True
@@ -149,7 +143,7 @@ def _verify_allcount(verdict: Verdict, result: RunResult) -> bool:
     for metric, expected in pairs:
         measured = result.data(metric).total()
         ok &= verdict.note(
-            _close(measured, expected, 0.0),
+            measured == expected,
             f"{metric}: measured {measured:.0f} == expected {expected}",
         )
     ok &= verdict.note(program.verified, "window contents verified by the program")
@@ -204,7 +198,7 @@ def _verify_spawnsync_counts(verdict: Verdict, result: RunResult) -> bool:
     measured = result.data("msgs_recv").total()
     # children also receive nothing else on the intercomm; parents receive 0
     return verdict.note(
-        _close(measured, expected, 0.0),
+        measured == expected,
         f"counted {measured:.0f} received messages == expected {expected}",
     )
 

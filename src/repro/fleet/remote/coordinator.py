@@ -474,7 +474,7 @@ class FleetCoordinator(BackgroundServer):
 class _CoordinatorHandler(JsonRequestHandler):
     @property
     def coord(self) -> FleetCoordinator:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.service
 
     def _digest(self, prefix: str) -> Optional[str]:
         """The digest a store path names, or ``None`` after answering a

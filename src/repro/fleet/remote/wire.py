@@ -175,6 +175,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-fleet"
+    server: "_FleetHTTPServer"
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         pass  # request logging goes through the owning service, not stderr
@@ -233,6 +234,8 @@ class _FleetHTTPServer(ThreadingHTTPServer):
     # the socketserver default backlog (5) drops connections when a whole
     # worker pool leases or uploads at once; queue them instead
     request_queue_size = 128
+    #: the owning service, the handlers' back reference
+    service: "BackgroundServer"
 
 
 class BackgroundServer:
@@ -261,7 +264,7 @@ class BackgroundServer:
             return self
         self.httpd = _FleetHTTPServer(self._requested, self._handler_class())
         self.httpd.daemon_threads = True
-        self.httpd.service = self  # type: ignore[attr-defined] - handler back ref
+        self.httpd.service = self
         self._thread = threading.Thread(
             target=self.httpd.serve_forever,
             kwargs={"poll_interval": 0.05},

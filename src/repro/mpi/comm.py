@@ -5,7 +5,8 @@ group of endpoints; intercommunicators additionally carry a remote group
 (used by ``MPI_Comm_spawn``'s parent/child communication).  Collective
 operations coordinate through :class:`CollectiveContext` objects keyed by a
 per-communicator sequence number -- which encodes the MPI rule that all
-ranks of a communicator must call collectives in the same order.
+ranks of a communicator must call collectives in the same order.  A
+communicator holds a context only until every member has fetched it.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ class CollectiveContext:
         self.kernel = kernel
         self.expected = expected
         self.label = label
+        self.fetched = 0  # members that fetched it from their communicator
         self.arrivals: list[tuple[Any, Any]] = []  # (endpoint, value)
         self.event: SimEvent = kernel.event(name=f"coll.{label}")
         self.result: Any = None
@@ -191,7 +193,9 @@ class Communicator:
         Each endpoint advances its own sequence number; contexts are shared
         across the (local) group.  Intercomm collectives (spawn, merge) span
         both groups.  Keyed by endpoint identity: world ranks repeat across
-        the parent/child worlds an intercommunicator joins.
+        the parent/child worlds an intercommunicator joins.  Each member
+        fetches each sequence number once, so the table drops a context at
+        its last fetch, and a long run holds only collectives in flight.
         """
         key = id(endpoint)
         seq = self._coll_seq.get(key, 0)
@@ -201,6 +205,9 @@ class Communicator:
             expected = self.group.size + (self.remote_group.size if self.remote_group else 0)
             ctxt = CollectiveContext(self.kernel, expected, label=f"{self.name}#{seq}:{label}")
             self._collectives[seq] = ctxt
+        ctxt.fetched += 1
+        if ctxt.fetched == ctxt.expected:
+            del self._collectives[seq]
         return ctxt
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

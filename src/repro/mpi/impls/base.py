@@ -12,10 +12,22 @@ pmpi_weak_symbols         False (two strong sets)  True (MPI_* weak -> PMPI_*)
 shared_memory_transport   True (same node == shm)  False (sockets everywhere)
 socket_functions          ("writev", "readv")      ("write", "read")
 visible_collective_p2p    False (internal RPI)     True (PMPI_Sendrecv etc.)
-fence_uses_barrier        True  (+ Isend/Waitall)  False (internal sync)
 win_start_blocks          True                     False (complete blocks)
 supports spawn            True (also refmpi)       MPICH / MPICH2: False
 ========================  =======================  ==========================
+
+LAM's ``MPI_Win_fence`` (``MPI_Isend``/``MPI_Waitall`` plus
+``MPI_Barrier``) is its own body in :mod:`.lam`, not a knob.
+
+The engine has one path per job.  :meth:`BaseImpl._envelope` builds every
+message: an eager envelope carries its flow-control channel and credit, a
+rendezvous one its CTS and data events.  A blocking send is
+:meth:`BaseImpl._send_inline` (``MPI_Ssend`` is its forced rendezvous), a
+blocking receive :meth:`BaseImpl._recv_inline`, and a nonblocking send or
+receive one background progress task.  Every collective that only has to
+meet -- barrier, finalize, communicator and window creation, disconnect,
+merge, file open -- goes through :meth:`BaseImpl._rendezvous`, whose last
+arrival computes the result for everyone.
 
 Dynamic process creation is available on the LAM-family personalities
 only: ``lam`` (round-robin placement, ``lam_spawn_file`` schema) and
@@ -30,16 +42,16 @@ Performance Consultant output exposes (Figures 3, 9, 21, 22, 24).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 import numpy as np
 
-from ...sim.kernel import SimEvent, WaitEvent
+from ...sim.kernel import Delay, SimEvent, WaitEvent
 from ...sim.process import SimProcess
-from ..comm import Communicator
+from ..comm import CollectiveContext, Communicator
 from ..datatypes import BYTE, Datatype, Op
 from ..errors import MpiError, RmaEpochError, SpawnError, UnsupportedFeature
-from ..message import Envelope, Mailbox, Protocol
+from ..message import Envelope, Mailbox, PostedRecv, Protocol
 from ..rma import RmaOp, RmaOpKind, Window
 from ..runtime import Endpoint
 from ..status import Request, Status
@@ -116,10 +128,8 @@ class BaseImpl:
     shared_memory_transport = True
     socket_functions: Optional[tuple[str, str]] = None  # (write-like, read-like)
     visible_collective_p2p = False
-    fence_uses_barrier = False
     win_start_blocks = True
     window_creates_internal_comm = False
-    reuse_window_ids = True
     features: frozenset[str] = frozenset({"p2p", "collectives"})
 
     # -- cost model (seconds / bytes) ---------------------------------------------
@@ -361,15 +371,6 @@ class BaseImpl:
         else:
             yield from proc.compute(link.recv_overhead + copy)
 
-    def _recv_wait(self, proc: SimProcess, event: SimEvent) -> Generator:
-        """Block until ``event``.
-
-        Blocking happens in the library's progress loop (select/poll), not
-        in ``read`` itself, so waiting time is *synchronization*, never I/O;
-        the actual copy-out syscall cost is charged by :meth:`_charge_recv`.
-        """
-        return (yield from proc.block(event))
-
     # libc bodies: args are (fd, (wait_event_or_None, syscall_seconds), count)
     def _body_sock_write(self, ep: Endpoint, proc: SimProcess, fd, token, count) -> Generator:
         wait_event, sys_seconds = token if token is not None else (None, 0.0)
@@ -391,8 +392,37 @@ class BaseImpl:
     # point-to-point engine
     # ------------------------------------------------------------------------
 
-    def _payload_credit(self, nbytes: int) -> int:
-        return max(nbytes, ENVELOPE_CREDIT)
+    def _envelope(
+        self,
+        ep: Endpoint,
+        target: Endpoint,
+        comm: Communicator,
+        payload: Any,
+        nbytes: int,
+        tag: int,
+        *,
+        datatype: Any = None,
+        rendezvous: bool = False,
+        rma_sink: bool = False,
+    ) -> Envelope:
+        """The one envelope builder.  An eager envelope takes flow-control
+        credit on the (sender, receiver) channel; a rendezvous one carries
+        the CTS and data events the two sides hand each other."""
+        link = self.link_for(ep, target)
+        src_rank = comm.rank_of(ep)
+        if rendezvous:
+            kernel = self.universe.kernel
+            return Envelope(
+                Protocol.RENDEZVOUS, src_rank, tag, comm.cid, nbytes, payload,
+                datatype=datatype, link=link, rma_sink=rma_sink,
+                cts_event=kernel.event(name="rdv.cts"),
+                data_event=kernel.event(name="rdv.data"),
+            )
+        return Envelope(
+            Protocol.EAGER, src_rank, tag, comm.cid, nbytes, payload,
+            datatype=datatype, link=link, rma_sink=rma_sink,
+            channel=self._channel(ep, target), credit=max(nbytes, ENVELOPE_CREDIT),
+        )
 
     def _send_inline(
         self,
@@ -404,51 +434,38 @@ class BaseImpl:
         tag: int,
         comm: Communicator,
         datatype: Any = None,
+        *,
+        synchronous: bool = False,
     ) -> Generator:
-        """Blocking send (the body of MPI_Send; also used internally)."""
+        """Blocking send (the body of MPI_Send; also used internally).
+
+        Past the eager threshold, or ``synchronous`` (MPI_Ssend), it takes
+        the rendezvous: RTS -> (receiver matches) -> CTS -> data, so it
+        never completes before the matching receive is posted.  Waiting for
+        the CTS happens in the library's progress loop (select/poll), so it
+        is synchronization, never I/O.  Only a message past the threshold
+        pushes its data as a ``bulk`` transfer; an eager-sized synchronous
+        send writes it like an eager one.
+        """
         target = comm.peer_for(ep, dest)
-        link = self.link_for(ep, target)
-        src_rank = comm.rank_of(ep)
+        bulk = nbytes > self.eager_threshold
+        env = self._envelope(
+            ep, target, comm, payload, nbytes, tag,
+            datatype=datatype, rendezvous=synchronous or bulk,
+        )
+        link = env.link
+        deliver = target.mailbox.deliver
         kernel = self.universe.kernel
-        if nbytes <= self.eager_threshold:
-            credit = self._payload_credit(nbytes)
-            channel = self._channel(ep, target)
-            env = Envelope(
-                protocol=Protocol.EAGER,
-                src_rank=src_rank,
-                tag=tag,
-                cid=comm.cid,
-                nbytes=nbytes,
-                payload=payload,
-                datatype=datatype,
-            )
-            env.credit = credit  # type: ignore[attr-defined]
-            env.channel = channel  # type: ignore[attr-defined]
-            env.link = link  # type: ignore[attr-defined]
-            wait = channel.acquire(credit)
+        if env.protocol is Protocol.EAGER:
+            wait = env.channel.acquire(env.credit)
             yield from self._charge_send(proc, link, nbytes, wait)
-            kernel.schedule(link.latency, lambda: target.mailbox.deliver(env))
-        else:
-            # Rendezvous: RTS -> (receiver matches) -> CTS -> data.
-            env = Envelope(
-                protocol=Protocol.RENDEZVOUS,
-                src_rank=src_rank,
-                tag=tag,
-                cid=comm.cid,
-                nbytes=nbytes,
-                payload=payload,
-                datatype=datatype,
-                cts_event=kernel.event(name="rdv.cts"),
-                data_event=kernel.event(name="rdv.data"),
-            )
-            env.credit = 0  # type: ignore[attr-defined]
-            env.channel = None  # type: ignore[attr-defined]
-            env.link = link  # type: ignore[attr-defined]
-            yield from self._charge_send(proc, link, 0, None)  # protocol processing
-            kernel.schedule(link.latency, lambda: target.mailbox.deliver(env))
-            yield from self._recv_wait(proc, env.cts_event)  # blocked until recv posted
-            yield from self._charge_send(proc, link, nbytes, None, bulk=True)  # the data push
-            kernel.schedule(link.latency, lambda e=env: e.data_event.trigger(e))
+            kernel.schedule(link.latency, deliver, env)
+            return
+        yield from self._charge_send(proc, link, 0, None)  # protocol processing
+        kernel.schedule(link.latency, deliver, env)
+        yield from proc.block(env.cts_event)  # blocked until recv posted
+        yield from self._charge_send(proc, link, nbytes, None, bulk=bulk)  # the data push
+        kernel.schedule(link.latency, env.data_event.trigger, env)
 
     def _recv_inline(
         self,
@@ -462,20 +479,24 @@ class BaseImpl:
         count: int = 0,
         datatype: Any = None,
     ) -> Generator:
-        """Blocking receive (the body of MPI_Recv)."""
+        """Blocking receive (the body of MPI_Recv).
+
+        Blocking happens in the library's progress loop (select/poll), not
+        in ``read`` itself, so waiting time is *synchronization*, never I/O;
+        the copy-out syscall cost is charged by :meth:`_charge_recv`, before
+        the message's flow-control credit goes back to its sender.
+        """
         env, posted = ep.mailbox.match_or_post(source, tag, comm.cid)
         if env is None:
-            env = yield from self._recv_wait(proc, posted.event)
+            env = yield from proc.block(posted.event)
         self.universe.emit("recv_matched", ep=ep, env=env, count=count, datatype=datatype)
-        link = getattr(env, "link", self.universe.network.inter_node)
+        link = env.link
         if env.protocol is Protocol.RENDEZVOUS:
-            kernel = self.universe.kernel
-            kernel.schedule(link.latency, lambda e=env: e.cts_event.trigger(None))
-            yield from self._recv_wait(proc, env.data_event)
+            self.universe.kernel.schedule(link.latency, env.cts_event.trigger)
+            yield from proc.block(env.data_event)
         yield from self._charge_recv(proc, link, env.nbytes)
-        channel = getattr(env, "channel", None)
-        if channel is not None:
-            channel.release(getattr(env, "credit", 0))
+        if env.channel is not None:
+            env.channel.release(env.credit)
         if status is not None:
             status.set(source=env.src_rank, tag=env.tag, count_bytes=env.nbytes)
         return env.payload
@@ -493,56 +514,40 @@ class BaseImpl:
         rma_sink: bool = False,
     ) -> Generator:
         """Start a nonblocking send; returns a Request.  Protocol progress
-        runs in a background helper task (the library's progress engine)."""
+        runs in a background helper task (the library's progress engine),
+        which charges the process nothing."""
         target = comm.peer_for(ep, dest)
-        link = self.link_for(ep, target)
-        src_rank = comm.rank_of(ep)
+        env = self._envelope(
+            ep, target, comm, payload, nbytes, tag,
+            rendezvous=nbytes > self.eager_threshold, rma_sink=rma_sink,
+        )
         kernel = self.universe.kernel
         request = Request(kernel, "isend")
         yield from proc.compute(self.request_overhead)
-        protocol = Protocol.EAGER if nbytes <= self.eager_threshold else Protocol.RENDEZVOUS
-        env = Envelope(
-            protocol=protocol,
-            src_rank=src_rank,
-            tag=tag,
-            cid=comm.cid,
-            nbytes=nbytes,
-            payload=payload,
-            cts_event=kernel.event(name="rdv.cts") if protocol is Protocol.RENDEZVOUS else None,
-            data_event=kernel.event(name="rdv.data") if protocol is Protocol.RENDEZVOUS else None,
+        kernel.spawn(
+            self._isend_progress(env, target.mailbox, request),
+            name=f"isend[{ep.world_rank}->{dest}]",
         )
-        env.link = link  # type: ignore[attr-defined]
-        env.rma_sink = rma_sink  # type: ignore[attr-defined]
-        if protocol is Protocol.EAGER:
-            credit = self._payload_credit(nbytes)
-            channel = self._channel(ep, target)
-            env.credit = credit  # type: ignore[attr-defined]
-            env.channel = channel  # type: ignore[attr-defined]
-        else:
-            env.credit = 0  # type: ignore[attr-defined]
-            env.channel = None  # type: ignore[attr-defined]
-
-        def progress() -> Generator:
-            if protocol is Protocol.EAGER:
-                wait = env.channel.acquire(env.credit)  # type: ignore[attr-defined]
-                if wait is not None:
-                    yield WaitEvent(wait)
-                inject = nbytes / link.bandwidth
-                if inject:
-                    yield from _task_sleep(inject)
-                kernel.schedule(link.latency, lambda: target.mailbox.deliver(env))
-                request.complete()
-            else:
-                kernel.schedule(link.latency, lambda: target.mailbox.deliver(env))
-                yield WaitEvent(env.cts_event)
-                inject = nbytes / link.bandwidth
-                if inject:
-                    yield from _task_sleep(inject)
-                kernel.schedule(link.latency, lambda e=env: e.data_event.trigger(e))
-                request.complete()
-
-        kernel.spawn(progress(), name=f"isend[{ep.world_rank}->{dest}]")
         return request
+
+    def _isend_progress(self, env: Envelope, mailbox: Mailbox, request: Request) -> Generator:
+        kernel = self.universe.kernel
+        link = env.link
+        inject = env.nbytes / link.bandwidth
+        if env.protocol is Protocol.EAGER:
+            wait = env.channel.acquire(env.credit)
+            if wait is not None:
+                yield WaitEvent(wait)
+            if inject:
+                yield Delay(inject)
+            kernel.schedule(link.latency, mailbox.deliver, env)
+        else:
+            kernel.schedule(link.latency, mailbox.deliver, env)
+            yield WaitEvent(env.cts_event)
+            if inject:
+                yield Delay(inject)
+            kernel.schedule(link.latency, env.data_event.trigger, env)
+        request.complete()
 
     def _irecv_internal(
         self,
@@ -552,56 +557,49 @@ class BaseImpl:
         tag: int,
         comm: Communicator,
     ) -> Generator:
+        """Post a nonblocking receive; returns a Request that a background
+        helper task completes, returning the message's credit at once."""
         kernel = self.universe.kernel
         request = Request(kernel, "irecv")
         yield from proc.compute(self.request_overhead)
         env, posted = ep.mailbox.match_or_post(source, tag, comm.cid)
-
-        def finish(envelope: Envelope) -> Generator:
-            link = getattr(envelope, "link", self.universe.network.inter_node)
-            if envelope.protocol is Protocol.RENDEZVOUS:
-                kernel.schedule(link.latency, lambda e=envelope: e.cts_event.trigger(None))
-                yield WaitEvent(envelope.data_event)
-            channel = getattr(envelope, "channel", None)
-            if channel is not None:
-                channel.release(getattr(envelope, "credit", 0))
-            request.status.set(
-                source=envelope.src_rank, tag=envelope.tag, count_bytes=envelope.nbytes
-            )
-            request.complete(envelope.payload)
-
-        def progress() -> Generator:
-            envelope = env
-            if envelope is None:
-                envelope = yield WaitEvent(posted.event)
-            yield from finish(envelope)
-
-        kernel.spawn(progress(), name=f"irecv[{ep.world_rank}]")
+        kernel.spawn(self._irecv_progress(env, posted, request), name=f"irecv[{ep.world_rank}]")
         return request
+
+    def _irecv_progress(
+        self, env: Optional[Envelope], posted: Optional[PostedRecv], request: Request
+    ) -> Generator:
+        if env is None:
+            env = yield WaitEvent(posted.event)
+        if env.protocol is Protocol.RENDEZVOUS:
+            self.universe.kernel.schedule(env.link.latency, env.cts_event.trigger)
+            yield WaitEvent(env.data_event)
+        if env.channel is not None:
+            env.channel.release(env.credit)
+        request.status.set(source=env.src_rank, tag=env.tag, count_bytes=env.nbytes)
+        request.complete(env.payload)
 
     # -- MPI p2p bodies (real C argument layouts) ---------------------------------
 
     def _body_send(self, ep, proc, buf, count, dtype, dest, tag, comm) -> Generator:
         nbytes = dtype.extent(count) if count else 0
-        yield from self._send_inline(ep, proc, buf, nbytes, dest, tag, comm, datatype=dtype)
+        return self._send_inline(ep, proc, buf, nbytes, dest, tag, comm, dtype)
+
+    def _body_ssend(self, ep, proc, buf, count, dtype, dest, tag, comm) -> Generator:
+        nbytes = dtype.extent(count) if count else 0
+        return self._send_inline(ep, proc, buf, nbytes, dest, tag, comm, dtype, synchronous=True)
 
     def _body_recv(self, ep, proc, buf, count, dtype, source, tag, comm, status=None) -> Generator:
-        return (
-            yield from self._recv_inline(
-                ep, proc, source, tag, comm, status, count=count, datatype=dtype
-            )
-        )
+        return self._recv_inline(ep, proc, source, tag, comm, status, count=count, datatype=dtype)
 
     def _body_isend(self, ep, proc, buf, count, dtype, dest, tag, comm) -> Generator:
         nbytes = dtype.extent(count) if count else 0
-        return (
-            yield from self._isend_internal(
-                ep, proc, buf, nbytes, dest, tag, comm, rma_sink=tag >= RMA_SINK_TAG
-            )
+        return self._isend_internal(
+            ep, proc, buf, nbytes, dest, tag, comm, rma_sink=tag >= RMA_SINK_TAG
         )
 
     def _body_irecv(self, ep, proc, buf, count, dtype, source, tag, comm) -> Generator:
-        return (yield from self._irecv_internal(ep, proc, source, tag, comm))
+        return self._irecv_internal(ep, proc, source, tag, comm)
 
     def _body_wait(self, ep, proc, request, status=None) -> Generator:
         yield from proc.compute(self.request_overhead)
@@ -623,33 +621,6 @@ class BaseImpl:
                 yield from proc.block(request.done)
             results.append(request.value)
         return results
-
-    def _body_ssend(self, ep, proc, buf, count, dtype, dest, tag, comm) -> Generator:
-        """Synchronous send: never completes before the matching receive is
-        posted (forced rendezvous regardless of size)."""
-        nbytes = dtype.extent(count) if count else 0
-        target = comm.peer_for(ep, dest)
-        link = self.link_for(ep, target)
-        kernel = self.universe.kernel
-        env = Envelope(
-            protocol=Protocol.RENDEZVOUS,
-            src_rank=comm.rank_of(ep),
-            tag=tag,
-            cid=comm.cid,
-            nbytes=nbytes,
-            payload=buf,
-            datatype=dtype,
-            cts_event=kernel.event(name="ssend.cts"),
-            data_event=kernel.event(name="ssend.data"),
-        )
-        env.credit = 0  # type: ignore[attr-defined]
-        env.channel = None  # type: ignore[attr-defined]
-        env.link = link  # type: ignore[attr-defined]
-        yield from self._charge_send(proc, link, 0, None)
-        kernel.schedule(link.latency, lambda: target.mailbox.deliver(env))
-        yield from self._recv_wait(proc, env.cts_event)
-        yield from self._charge_send(proc, link, nbytes, None, bulk=nbytes > self.eager_threshold)
-        kernel.schedule(link.latency, lambda e=env: e.data_event.trigger(e))
 
     def _body_probe(self, ep, proc, source, tag, comm, status=None) -> Generator:
         """Blocking probe: wait until a matching message is available, but
@@ -743,14 +714,37 @@ class BaseImpl:
 
     def _coll_send(self, ep, proc, payload, nbytes, dest, tag, comm) -> Generator:
         if self.visible_collective_p2p:
-            yield from proc.call("MPI_Send", payload, nbytes, BYTE, dest, tag, comm)
-        else:
-            yield from self._send_inline(ep, proc, payload, nbytes, dest, tag, comm)
+            return proc.call("MPI_Send", payload, nbytes, BYTE, dest, tag, comm)
+        return self._send_inline(ep, proc, payload, nbytes, dest, tag, comm)
 
     def _coll_recv(self, ep, proc, source, tag, comm) -> Generator:
         if self.visible_collective_p2p:
-            return (yield from proc.call("MPI_Recv", None, 0, BYTE, source, tag, comm, None))
-        return (yield from self._recv_inline(ep, proc, source, tag, comm, None))
+            return proc.call("MPI_Recv", None, 0, BYTE, source, tag, comm, None)
+        return self._recv_inline(ep, proc, source, tag, comm, None)
+
+    def _rendezvous(
+        self,
+        ep: Endpoint,
+        proc: SimProcess,
+        comm: Communicator,
+        label: str,
+        value: Any = None,
+        last: Optional[Callable[[CollectiveContext], Any]] = None,
+    ) -> Generator:
+        """Meet every member at this endpoint's next collective on ``comm``.
+
+        The final arrival runs ``last(ctxt)`` (when given) and completes the
+        context with its result; every other member blocks until then.  All
+        of them return that result.  Only a ``last`` that reads the arrival
+        values sorts them (``ctxt.values()``), so a barrier storm at
+        thousands of ranks pays no sort.
+        """
+        ctxt = comm.collective_context(ep, label)
+        if not ctxt.arrive(ep, value):
+            return (yield from proc.block(ctxt.event))
+        result = None if last is None else last(ctxt)
+        ctxt.complete(result)
+        return result
 
     def _body_barrier(self, ep, proc, comm) -> Generator:
         yield from proc.compute(self.collective_entry_cost)
@@ -774,11 +768,7 @@ class BaseImpl:
                 )
                 mask <<= 1
         else:
-            ctxt = comm.collective_context(ep, "barrier")
-            if ctxt.arrive(ep):
-                ctxt.complete()
-            else:
-                yield from proc.block(ctxt.event)
+            yield from self._rendezvous(ep, proc, comm, "barrier")
             yield from proc.compute(self.collective_entry_cost)
 
     def _body_bcast(self, ep, proc, buf, count, dtype, root, comm) -> Generator:
@@ -904,9 +894,8 @@ class BaseImpl:
         """Collective split into per-color communicators, ordered by (key,
         original rank); color None (MPI_UNDEFINED) yields None."""
         yield from proc.compute(self.collective_entry_cost)
-        rank = comm.rank_of(ep)
-        ctxt = comm.collective_context(ep, "comm_split")
-        if ctxt.arrive(ep, (color, key, rank, ep)):
+
+        def split(ctxt):
             groups: dict[Any, list] = {}
             for c, k, r, endpoint in ctxt.values():
                 if c is not None:
@@ -917,11 +906,11 @@ class BaseImpl:
                 comms[c] = self.universe.new_communicator(
                     [m[2] for m in members], name=f"{comm.name}_split{c}"
                 )
-            ctxt.complete(comms)
-            result = comms
-        else:
-            result = yield from proc.block(ctxt.event)
-        return result.get(color) if color is not None else None
+            return comms
+
+        value = (color, key, comm.rank_of(ep), ep)
+        comms = yield from self._rendezvous(ep, proc, comm, "comm_split", value, split)
+        return comms.get(color) if color is not None else None
 
     # ------------------------------------------------------------------------
     # communicator management / naming / misc
@@ -937,11 +926,7 @@ class BaseImpl:
         yield from proc.compute(self.finalize_cost)
         comm = ep.world.comm_world
         if comm.size > 1:
-            ctxt = comm.collective_context(ep, "finalize")
-            if ctxt.arrive(ep):
-                ctxt.complete()
-            else:
-                yield from proc.block(ctxt.event)
+            yield from self._rendezvous(ep, proc, comm, "finalize")
         ep.finalized = True
 
     def _body_comm_rank(self, ep, proc, comm) -> Generator:
@@ -953,14 +938,11 @@ class BaseImpl:
         yield  # pragma: no cover
 
     def _body_comm_dup(self, ep, proc, comm) -> Generator:
-        ctxt = comm.collective_context(ep, "comm_dup")
         yield from proc.compute(self.collective_entry_cost)
-        if ctxt.arrive(ep):
-            dup = self.universe.new_communicator(comm.group, name=f"{comm.name}_dup")
-            ctxt.complete(dup)
-            return dup
-        dup = yield from proc.block(ctxt.event)
-        return dup
+        return (yield from self._rendezvous(
+            ep, proc, comm, "comm_dup",
+            last=lambda ctxt: self.universe.new_communicator(comm.group, name=f"{comm.name}_dup"),
+        ))
 
     def _body_comm_set_name(self, ep, proc, comm, name) -> Generator:
         comm.set_name(str(name))
@@ -979,24 +961,23 @@ class BaseImpl:
     # ------------------------------------------------------------------------
 
     def alloc_win_id(self) -> int:
-        if self.reuse_window_ids and self._free_win_ids:
+        """The lowest freed window id, else a new one (every personality
+        reuses ids after ``MPI_Win_free``)."""
+        if self._free_win_ids:
             return self._free_win_ids.pop(0)
         win_id = self._next_win_id
         self._next_win_id += 1
         return win_id
 
     def release_win_id(self, win_id: int) -> None:
-        if self.reuse_window_ids:
-            self._free_win_ids.append(win_id)
-            self._free_win_ids.sort()
+        self._free_win_ids.append(win_id)
+        self._free_win_ids.sort()
 
     def _body_win_create(self, ep, proc, base, size, disp_unit, info, comm) -> Generator:
         self._require("rma")
         yield from proc.compute(self.win_create_cost)
-        rank = comm.rank_of(ep)
-        ctxt = comm.collective_context(ep, "win_create")
-        if ctxt.arrive(ep, (rank, base)):
-            buffers = {r: buf for r, buf in ctxt.values()}
+
+        def create(ctxt):
             internal_comm = None
             if self.window_creates_internal_comm:
                 internal_comm = self.universe.new_communicator(
@@ -1006,7 +987,7 @@ class BaseImpl:
                 self.universe.kernel,
                 self.alloc_win_id(),
                 comm,
-                buffers,
+                dict(ctxt.values()),
                 disp_unit=disp_unit,
                 internal_comm=internal_comm,
             )
@@ -1016,22 +997,22 @@ class BaseImpl:
             for r in range(comm.size):
                 win.open_fence_epoch(r)
             self.universe.notify_window(win)
-            ctxt.complete(win)
             return win
-        win = yield from proc.block(ctxt.event)
-        return win
+
+        return (yield from self._rendezvous(
+            ep, proc, comm, "win_create", (comm.rank_of(ep), base), create
+        ))
 
     def _body_win_free(self, ep, proc, win) -> Generator:
         self._require("rma")
         win.check_not_freed()
         yield from proc.compute(self.rma_sync_overhead)
-        ctxt = win.comm.collective_context(ep, "win_free")
-        if ctxt.arrive(ep):
+
+        def free(ctxt):
             win.freed = True
             self.release_win_id(win.win_id)
-            ctxt.complete()
-        else:
-            yield from proc.block(ctxt.event)
+
+        yield from self._rendezvous(ep, proc, win.comm, "win_free", last=free)
 
     def _flush_rma_ops(self, ep, proc, win, ops) -> Generator:
         """Default (MPICH2-style) flush: internal progress, ops applied now.
@@ -1055,11 +1036,7 @@ class BaseImpl:
         ops = win.close_fence_epoch(rank)
         yield from self._flush_rma_ops(ep, proc, win, ops)
         # internal fence synchronization (MPICH2 sock channel style)
-        ctxt = win.comm.collective_context(ep, "win_fence")
-        if ctxt.arrive(ep):
-            ctxt.complete()
-        else:
-            yield from proc.block(ctxt.event)
+        yield from self._rendezvous(ep, proc, win.comm, "win_fence")
         win.open_fence_epoch(rank)
 
     def _body_win_start(self, ep, proc, group_ranks, assertion, win) -> Generator:
@@ -1213,11 +1190,7 @@ class BaseImpl:
     def _body_comm_spawn(self, ep, proc, command, argv, maxprocs, info, root, comm) -> Generator:
         self._require("spawn")
         yield from proc.compute(self.spawn_cost)
-        gather = comm.collective_context(ep, "spawn_gather")
-        if gather.arrive(ep):
-            gather.complete()
-        else:
-            yield from proc.block(gather.event)
+        yield from self._rendezvous(ep, proc, comm, "spawn_gather")
         result = comm.collective_context(ep, "spawn_result")
         if comm.rank_of(ep) == root:
             placement = self.spawn_placement(maxprocs, info or {})
@@ -1252,27 +1225,20 @@ class BaseImpl:
         and remote group) arrives before the communicator is marked freed."""
         self._require("spawn")
         yield from proc.compute(self.collective_entry_cost)
-        ctxt = comm.collective_context(ep, "disconnect")
-        if ctxt.arrive(ep):
+
+        def disconnect(ctxt):
             comm.freed = True
-            ctxt.complete()
-        else:
-            yield from proc.block(ctxt.event)
+
+        yield from self._rendezvous(ep, proc, comm, "disconnect", last=disconnect)
 
     def _body_intercomm_merge(self, ep, proc, intercomm, high) -> Generator:
         yield from proc.compute(self.collective_entry_cost)
-        ctxt = intercomm.collective_context(ep, "merge")
-        if ctxt.arrive(ep):
-            low_group = intercomm.group
-            high_group = intercomm.remote_group
-            members = list(low_group) + list(high_group or [])
-            merged = self.universe.new_communicator(
-                members, name=f"{intercomm.name}_merged"
-            )
-            ctxt.complete(merged)
-            return merged
-        merged = yield from proc.block(ctxt.event)
-        return merged
+
+        def merge(ctxt):
+            members = list(intercomm.group) + list(intercomm.remote_group or [])
+            return self.universe.new_communicator(members, name=f"{intercomm.name}_merged")
+
+        return (yield from self._rendezvous(ep, proc, intercomm, "merge", last=merge))
 
     # ------------------------------------------------------------------------
     # MPI-IO (minimal)
@@ -1281,12 +1247,9 @@ class BaseImpl:
     def _body_file_open(self, ep, proc, comm, filename, amode, info) -> Generator:
         self._require("mpio")
         yield from proc.syscall(self.io_file_latency)
-        ctxt = comm.collective_context(ep, "file_open")
-        if ctxt.arrive(ep):
-            ctxt.complete(MpiFile(filename, comm))
-            return ctxt.result
-        fh = yield from proc.block(ctxt.event)
-        return fh
+        return (yield from self._rendezvous(
+            ep, proc, comm, "file_open", last=lambda ctxt: MpiFile(filename, comm)
+        ))
 
     def _body_file_close(self, ep, proc, fh) -> Generator:
         self._require("mpio")
@@ -1316,10 +1279,3 @@ class _RelayTask:
 
     def __init__(self, relay):
         self.callback = relay
-
-
-def _task_sleep(seconds: float) -> Generator:
-    """Sleep inside a background helper task (no process CPU accounting)."""
-    from ...sim.kernel import Delay
-
-    yield Delay(seconds)

@@ -35,10 +35,8 @@ class LamImpl(BaseImpl):
     shared_memory_transport = True
     socket_functions = ("writev", "readv")
     visible_collective_p2p = False
-    fence_uses_barrier = True
     win_start_blocks = True
     window_creates_internal_comm = True
-    reuse_window_ids = True
     features = frozenset(
         {"p2p", "collectives", "rma", "spawn", "naming", "mpio"}
     )

@@ -30,7 +30,6 @@ class MpichImpl(BaseImpl):
     shared_memory_transport = False
     socket_functions = ("write", "read")
     visible_collective_p2p = True
-    fence_uses_barrier = False
     win_start_blocks = False
     window_creates_internal_comm = False
     features = frozenset({"p2p", "collectives"})

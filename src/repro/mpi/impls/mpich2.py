@@ -35,10 +35,8 @@ class Mpich2Impl(BaseImpl):
     shared_memory_transport = False
     socket_functions = ("write", "read")
     visible_collective_p2p = True
-    fence_uses_barrier = False
     win_start_blocks = False
     window_creates_internal_comm = False
-    reuse_window_ids = True
     features = frozenset({"p2p", "collectives", "rma", "naming", "mpio"})
 
     def _require(self, feature: str) -> None:

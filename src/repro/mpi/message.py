@@ -11,11 +11,15 @@ triple.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Optional
 
 from ..sim.kernel import Kernel, SimEvent
 from .datatypes import ANY_SOURCE, ANY_TAG
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..sim.network import LinkModel
+    from .impls.base import FlowChannel
 
 __all__ = ["Protocol", "Envelope", "PostedRecv", "Mailbox"]
 
@@ -27,7 +31,7 @@ class Protocol(enum.Enum):
     RENDEZVOUS = "rendezvous"  # envelope is a ready-to-send; data follows CTS
 
 
-@dataclass
+@dataclass(slots=True)
 class Envelope:
     """One in-flight message (or rendezvous control token)."""
 
@@ -43,6 +47,14 @@ class Envelope:
     # sender to push data; the sender triggers data_event when data lands.
     cts_event: Optional[SimEvent] = None
     data_event: Optional[SimEvent] = None
+    link: Optional[LinkModel] = None  # the receiver charges its copy-out by it
+    # Eager flow control: the credit taken from the sender's channel to the
+    # receiver, returned when the message is received (rendezvous: none).
+    channel: Optional[FlowChannel] = None
+    credit: int = 0
+    # a library-internal RMA payload carrier (LAM's fence flush): absorbed
+    # by the progress engine, never matched by a user receive
+    rma_sink: bool = False
 
     def matches(self, source: int, tag: int, cid: int) -> bool:
         if cid != self.cid:
@@ -124,10 +136,9 @@ class Mailbox:
         ``MPI_Isend``): the progress engine absorbs them -- credit is
         returned, rendezvous tokens are auto-CTS'd, and no user receive ever
         sees them."""
-        if getattr(env, "rma_sink", False):
-            channel = getattr(env, "channel", None)
-            if channel is not None:
-                channel.release(getattr(env, "credit", 0))
+        if env.rma_sink:
+            if env.channel is not None:
+                env.channel.release(env.credit)
             if env.cts_event is not None and not env.cts_event.triggered:
                 env.cts_event.trigger(None)
             return None

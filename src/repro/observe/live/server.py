@@ -198,7 +198,7 @@ class LiveObservatory(BackgroundServer):
 class _LiveHandler(JsonRequestHandler):
     @property
     def live(self) -> LiveObservatory:
-        return self.server.service  # type: ignore[attr-defined]
+        return self.server.service
 
     def do_GET(self) -> None:
         parsed = urlparse(self.path)

@@ -382,7 +382,7 @@ class Sanitizer:
         if kind != "recv_matched":
             return
         ep, env = data["ep"], data["env"]
-        if env.tag >= COLL_TAG_BASE or getattr(env, "rma_sink", False):
+        if env.tag >= COLL_TAG_BASE:  # library traffic (RMA sink tags sit above it)
             return
         idx = self._ep_index.get(id(ep))
         if idx is None:  # pragma: no cover - defensive
@@ -743,7 +743,7 @@ class Sanitizer:
             if finalized_only and idx not in self._in_finalize:
                 continue
             for env in ep.mailbox.unexpected_envelopes():
-                if env.tag >= COLL_TAG_BASE or getattr(env, "rma_sink", False):
+                if env.tag >= COLL_TAG_BASE:
                     continue
                 self._report(
                     FindingKind.UNMATCHED_SEND,

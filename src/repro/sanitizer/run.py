@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from ..analysis.runner import cluster_for
+from ..analysis.runner import cluster_for, rank_placement
 from ..dyninst.image import ImageError
 from ..mpi.errors import MpiError, RmaEpochError, UnsupportedFeature
 from ..mpi.world import MpiProgram, MpiUniverse
@@ -58,12 +58,7 @@ def sanitize_program(
         rec.end("sanitize.build")
         rec.begin("sanitize.run", program=program.name, impl=impl)
 
-    placement = []
-    per_node = max(1, min(procs_per_node, cluster.nodes[0].num_cpus))
-    for rank in range(nprocs):
-        node = cluster.nodes[(rank // per_node) % cluster.num_nodes]
-        placement.append(node.cpus[rank % per_node])
-
+    placement = rank_placement(cluster, nprocs, procs_per_node)
     report = SanitizerReport(
         program=program.name, impl=impl, nprocs=nprocs, seed=seed
     )

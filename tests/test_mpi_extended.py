@@ -7,23 +7,52 @@ from repro.mpi import MpiError, Status
 from conftest import run_script
 
 
-def test_ssend_blocks_until_receive_posted():
-    times = {}
+#: One MPI_Ssend against a receive posted at t=2: the sender's and the
+#: receiver's completion times, then the sender's user and system CPU
+#: seconds.  An eager-sized message still waits for the CTS, then pushes
+#: its data like an eager send (inside the socket write on mpich/mpich2,
+#: as user CPU over lam's shared memory), not as a bulk transfer.
+SSEND_EXPECTED = {
+    ("lam", 4): (2.0020110057142855, 2.0020220071428567, 0.0020160057142857195, 0.0),
+    ("lam", 100_000): (2.0021538571428565, 2.002200571428571, 0.002015999999999786, 0.0),
+    ("mpich", 4): (
+        2.0021803478260867, 2.002360434782608, 0.0020179999999999257, 0.00010234782608706684
+    ),
+    ("mpich", 100_000): (
+        2.0108756521739126, 2.0132295652173906, 0.0020179999999999257, 0.00010200000000002308
+    ),
+    ("mpich2", 4): (
+        2.0021803478260867, 2.002360434782608, 0.0020179999999999257, 0.00010234782608706684
+    ),
+    ("mpich2", 100_000): (
+        2.0108756521739126, 2.0132295652173906, 0.0020179999999999257, 0.00010200000000002308
+    ),
+    ("refmpi", 4): (2.0020110057142855, 2.0020220071428567, 0.0020160057142857195, 0.0),
+    ("refmpi", 100_000): (2.0021538571428565, 2.002200571428571, 0.002015999999999786, 0.0),
+}
+
+
+@pytest.mark.parametrize("impl,nbytes", sorted(SSEND_EXPECTED))
+def test_ssend_blocks_until_receive_posted(impl, nbytes):
+    out = {}
 
     def script(mpi):
         yield from mpi.init()
         if mpi.rank == 0:
-            yield from mpi.ssend(1, nbytes=4, tag=1, payload="sync")
-            times["send_done"] = mpi.proc.kernel.now
+            yield from mpi.ssend(1, nbytes=nbytes, tag=1, payload="sync")
+            proc = mpi.proc
+            out["send"] = (proc.kernel.now, proc.cpu_user_time(), proc.cpu_system_time())
         else:
             yield from mpi.compute(2.0)
-            msg = yield from mpi.recv(source=0, tag=1)
-            times["msg"] = msg
+            out["msg"] = yield from mpi.recv(source=0, tag=1)
+            out["recv_done"] = mpi.proc.kernel.now
         yield from mpi.finalize()
 
-    run_script(script, 2)
-    assert times["send_done"] > 2.0  # unlike eager MPI_Send (see p2p tests)
-    assert times["msg"] == "sync"
+    run_script(script, 2, impl=impl)
+    send_done, user, system = out["send"]
+    assert send_done > 2.0  # unlike eager MPI_Send (see p2p tests)
+    assert out["msg"] == "sync"
+    assert (send_done, out["recv_done"], user, system) == SSEND_EXPECTED[impl, nbytes]
 
 
 def test_probe_reports_without_consuming():

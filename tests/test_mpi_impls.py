@@ -24,7 +24,6 @@ class TestPersonalityKnobs:
         assert LamImpl.pmpi_weak_symbols is False
         assert LamImpl.shared_memory_transport is True
         assert LamImpl.socket_functions == ("writev", "readv")
-        assert LamImpl.fence_uses_barrier is True
         assert LamImpl.win_start_blocks is True
         assert "spawn" in LamImpl.features
         assert "mpio" in LamImpl.features

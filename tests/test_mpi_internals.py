@@ -172,6 +172,32 @@ class TestGroupsAndComms:
         ctxt.arrive(a, "first")
         assert ctxt.values() == ["first", "second"]
 
+    def test_context_dropped_once_every_member_fetched_it(self):
+        members = [FakeEndpoint() for _ in range(3)]
+        comm = Communicator(Kernel(), 1, Group(members))
+        first = comm.collective_context(members[0])
+        comm.collective_context(members[1])
+        assert comm._collectives == {0: first}
+        assert comm.collective_context(members[2]) is first
+        assert comm._collectives == {}
+
+    def test_collective_contexts_released_after_a_run(self):
+        windows = []
+
+        def script(mpi):
+            yield from mpi.init()
+            for _ in range(50):
+                yield from mpi.barrier()
+            win = yield from mpi.win_create(8)
+            yield from mpi.win_fence(win)
+            yield from mpi.win_free(win)
+            windows.append(win)
+            yield from mpi.finalize()
+
+        _, world = run_script(script, 4, impl="lam")
+        comms = [world.comm_world, windows[0].internal_comm]
+        assert all(comm._collectives == {} for comm in comms)
+
 
 class TestUniverse:
     def test_cids_are_unique(self):
